@@ -13,8 +13,7 @@
 //! ```
 //!
 //! Output: CSV `domain,m,seconds_per_iteration` on stdout. The paper's
-//! claim is the O(n³) growth rate (also the subject of the Criterion
-//! bench `iteration.rs`).
+//! claim is the O(n³) growth rate.
 
 // Figure 3c measures wall-clock per-iteration time by design.
 #![allow(clippy::disallowed_methods)]

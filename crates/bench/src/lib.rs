@@ -19,12 +19,8 @@
 //! fewer iterations — the *shape* of every curve is preserved), and are
 //! deterministic given `--seed`.
 
-// Wall-clock reads are this harness's whole job.
-#![allow(clippy::disallowed_methods)]
 pub mod args;
-pub mod baseline;
 pub mod cells;
-pub mod kernels;
 pub mod report;
 
 pub use args::Args;

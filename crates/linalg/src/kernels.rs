@@ -44,9 +44,8 @@ pub(crate) const MR: usize = 4;
 /// per block while the output tile stays resident.
 pub(crate) const KC: usize = 128;
 /// Output-column block: `MR` output row chunks of `NC` doubles (16 KiB)
-/// plus one streamed operand chunk fit in L1. Tuned with `KC` via the
-/// `kernels` bench (`crates/bench/benches/kernels.rs`): {128, 512} beat
-/// the other {128, 256} × {128, 256, 512} combinations at n = 512.
+/// plus one streamed operand chunk fit in L1. Tuned with `KC`: {128, 512}
+/// beat the other {128, 256} × {128, 256, 512} combinations at n = 512.
 pub(crate) const NC: usize = 512;
 
 /// Identifies a compute-kernel backend.
@@ -59,8 +58,7 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Stable lowercase name, as accepted by `LDP_KERNEL` and recorded
-    /// in `BENCH_KERNELS.json`.
+    /// Stable lowercase name, as accepted by `LDP_KERNEL`.
     pub fn as_str(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",

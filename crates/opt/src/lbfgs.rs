@@ -53,8 +53,8 @@
 //! The net effect, gated by `tests/optimizer_parity.rs`: the same final
 //! objective as PGD (within `1e-6` relative) on every conformance
 //! workload family at several-fold fewer objective/gradient
-//! evaluations, which is what turns into the cold-deploy speedup
-//! measured by `BENCH_SERVE.json`.
+//! evaluations, which is what turns into a cold-deploy speedup once an
+//! evaluation costs more than the line search's extra projections.
 
 use ldp_linalg::{axpy, dot, Matrix};
 

@@ -277,12 +277,26 @@ impl Hosted {
 
     /// Merges, serializes, and (when persistence is on) atomically
     /// writes this deployment's snapshot. Returns `(epoch, bytes)`.
+    ///
+    /// The write and rename happen inside the merge barrier, under the
+    /// central lock: concurrent checkpoints of one deployment serialize,
+    /// so they never share the temp file and land on disk in epoch order.
     fn checkpoint(&self) -> Result<(u64, u64), ServeError> {
-        let (epoch, snapshot) = match &self.kind {
+        let persist = |epoch: u64, snapshot: Vec<u8>| -> Result<(u64, u64), ServeError> {
+            if let Some(path) = &self.path {
+                let tmp = path.with_extension(format!("{SNAPSHOT_EXT}.tmp"));
+                fs::write(&tmp, &snapshot)?;
+                fs::rename(&tmp, path)?;
+            }
+            Ok((epoch, snapshot.len() as u64))
+        };
+        match &self.kind {
             HostedKind::Dense { .. } => {
-                match self.dense_barrier(|_, central| (central.epoch() + 1, central.checkpoint())) {
-                    Some(Ok(pair)) => pair,
-                    Some(Err(e)) => return Err(ServeError::Ldp(e)),
+                match self
+                    .dense_barrier(|_, central| persist(central.epoch() + 1, central.checkpoint()))
+                {
+                    Some(Ok(written)) => written,
+                    Some(Err(e)) => Err(ServeError::Ldp(e)),
                     None => unreachable!("kind matched above"),
                 }
             }
@@ -297,20 +311,13 @@ impl Hosted {
                         reports,
                         pairs,
                     });
-                    (epoch, record)
+                    persist(epoch, record)
                 }) {
-                    Some(pair) => pair,
+                    Some(written) => written,
                     None => unreachable!("kind matched above"),
                 }
             }
-        };
-        let bytes = snapshot.len() as u64;
-        if let Some(path) = &self.path {
-            let tmp = path.with_extension(format!("{SNAPSHOT_EXT}.tmp"));
-            fs::write(&tmp, &snapshot)?;
-            fs::rename(&tmp, path)?;
         }
-        Ok((epoch, bytes))
     }
 
     /// Identity and live merged counters. Sparse deployments report a

@@ -168,6 +168,50 @@ fn checkpoint_then_rehost_resumes_byte_equal() {
 }
 
 #[test]
+fn concurrent_checkpoints_of_one_deployment_all_succeed_in_epoch_order() {
+    const CONNS: u64 = 4;
+    const ROUNDS: u64 = 50;
+    let dir = fresh_dir("concurrent-checkpoint");
+    let (addr, handle) = spawn_server(Some(dir.clone()), CONNS as usize + 1);
+    let mut epochs: Vec<u64> = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..CONNS)
+            .map(|c| {
+                scope.spawn(move || {
+                    let mut client = ServeClient::connect(addr).unwrap();
+                    (0..ROUNDS)
+                        .map(|r| {
+                            client
+                                .submit("survey", &batch(c * ROUNDS + r, 1, 6))
+                                .unwrap();
+                            client
+                                .checkpoint("survey")
+                                .unwrap_or_else(|e| panic!("connection {c}, round {r}: {e:?}"))
+                                .epoch
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        racers.into_iter().flat_map(|t| t.join().unwrap()).collect()
+    });
+    epochs.sort_unstable();
+    let total = CONNS * ROUNDS;
+    assert_eq!(epochs, (1..=total).collect::<Vec<_>>(), "one epoch per ack");
+
+    // The file on disk is the last epoch's snapshot: rehosting it
+    // resumes with every acknowledged report.
+    let snapshot = std::fs::read(dir.join("survey.ldpc")).unwrap();
+    let resumed = deployment(1.0).resume(&snapshot).unwrap();
+    assert_eq!(resumed.epoch(), total);
+    assert_eq!(resumed.reports(), total);
+
+    let mut client = ServeClient::connect(addr).unwrap();
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn hosting_over_a_foreign_snapshot_is_a_typed_binding_mismatch() {
     let dir = fresh_dir("binding");
 

@@ -69,7 +69,7 @@
 //! Multi-threaded collection is first-class: a [`Deployment`] is
 //! `Send + Sync + Clone`, clients share precomputed alias tables, and
 //! [`prelude::AggregatorShard`]s (integer counts) merge bit-exactly — see
-//! `examples/sharded_aggregation.rs` and the `sharded_ingestion` bench.
+//! `examples/sharded_aggregation.rs` and `tests/pipeline_api.rs`.
 //!
 //! ### Advanced: flat workloads
 //!

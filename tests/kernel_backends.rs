@@ -152,15 +152,25 @@ proptest! {
 /// Larger odd shapes that cross the `MR`/`KC`/`NC` block boundaries
 /// (103 > 2·MR·8, 131 > KC, 517 > NC) so the full blocked loop nest —
 /// interior panels, remainder rows, 8-wide, 4-wide, and scalar column
-/// strips — runs in one product.
+/// strips — runs in one product. Every backend's matmul also agrees
+/// with a plain i-k-j triple loop, the kernel blocking replaced.
 #[test]
 fn blocked_products_agree_across_backends_on_large_odd_shapes() {
     let a = positive(103, 131, 1);
     let b = positive(131, 517, 2);
     let at = positive(131, 103, 3);
+    let mut naive = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for (k, &aik) in a.row(i).iter().enumerate() {
+            for (out, &bkj) in naive.row_mut(i).iter_mut().zip(b.row(k)) {
+                *out += aik * bkj;
+            }
+        }
+    }
     let reference = with_backend(Backend::Scalar, || (a.matmul(&b), at.t_matmul(&b)));
     for backend in Backend::available() {
         let got = with_backend(backend, || (a.matmul(&b), at.t_matmul(&b)));
+        assert_close("matmul vs naive", naive.as_slice(), got.0.as_slice());
         assert_close("matmul large", reference.0.as_slice(), got.0.as_slice());
         assert_close("t_matmul large", reference.1.as_slice(), got.1.as_slice());
     }

@@ -167,3 +167,31 @@ fn nested_composite_parity() {
     let w = Product::new(Box::new(left), Box::new(right));
     assert_parity(&w, 7);
 }
+
+/// Time-to-target, counted instead of timed: L-BFGS chasing PGD's final
+/// objective as its `target_objective` (plateau stopping off, so only
+/// the target or the cap can end the run) genuinely reaches it, in
+/// fewer evaluations than PGD spent getting there.
+#[test]
+fn lbfgs_target_objective_stop_reaches_the_pgd_objective() {
+    let gram = Prefix::new(16).gram();
+    let pgd = optimize_strategy(&gram, 1.0, &OptimizerConfig::new(7)).unwrap();
+    let targeted = OptimizerConfig {
+        target_objective: Some(pgd.objective),
+        plateau_window: None,
+        ..OptimizerConfig::lbfgs(7)
+    };
+    let lbfgs = optimize_strategy(&gram, 1.0, &targeted).unwrap();
+    assert!(
+        lbfgs.objective <= pgd.objective,
+        "L-BFGS stopped at {} without reaching the PGD target {}",
+        lbfgs.objective,
+        pgd.objective,
+    );
+    assert!(
+        lbfgs.evaluations < pgd.evaluations,
+        "L-BFGS used {} evaluations to reach PGD's objective, PGD used {}",
+        lbfgs.evaluations,
+        pgd.evaluations,
+    );
+}
