@@ -299,7 +299,7 @@ mod tests {
         let s = StrategyMatrix::new(q.clone()).unwrap();
         let gram = Matrix::identity(3);
         let k_opt = optimal_reconstruction(&s);
-        let k_inv = ldp_linalg::Lu::new(&q).unwrap().inverse();
+        let k_inv = q.pinv();
         let obj_opt = trace_objective(&s, &k_opt, &gram);
         let obj_inv = trace_objective(&s, &k_inv, &gram);
         assert!(obj_opt <= obj_inv + 1e-9, "{obj_opt} > {obj_inv}");

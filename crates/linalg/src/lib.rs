@@ -23,7 +23,6 @@
 //!   relative-tolerance rank cutoff.
 //! * [`Cholesky`] — factorization and solves for symmetric positive definite
 //!   systems.
-//! * [`Lu`] — LU factorization with partial pivoting for general systems.
 //!
 //! The hot loops dispatch through the [`kernels`] backend layer: a
 //! portable scalar backend (the reference semantics, always compiled)
@@ -37,7 +36,6 @@ mod cholesky;
 mod eigh;
 pub mod kernels;
 mod linop;
-mod lu;
 mod matrix;
 mod pinv;
 #[cfg(target_arch = "x86_64")]
@@ -53,7 +51,6 @@ pub use linop::{
     dense_of, fwht, linop_matmul, psd_max_abs, DenseOp, DiagOp, Gram, KroneckerOp, LinOp,
     RankOneOp, ScaledOp, StructuredGram, SumOp,
 };
-pub use lu::Lu;
 pub use matrix::Matrix;
 pub use pinv::{pinv_symmetric, PinvOptions};
 pub use svd::{svd, Svd};

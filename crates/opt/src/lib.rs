@@ -23,9 +23,8 @@
 //!   and multi-restart support.
 //! * [`lbfgs`] — a projected L-BFGS alternative to Algorithm 2's descent
 //!   loop (quasi-Newton directions, Armijo line search on the projected
-//!   path, convergence-based stopping), selected via
-//!   [`pgd::Algorithm::Lbfgs`]; it reaches PGD-quality objectives in
-//!   several-fold fewer objective evaluations.
+//!   path, an objective-plateau stop), selected via
+//!   [`pgd::Algorithm::Lbfgs`].
 //!
 //! The high-level entry point is [`optimize_strategy`] /
 //! [`optimized_mechanism`]:

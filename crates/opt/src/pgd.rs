@@ -68,9 +68,8 @@ pub enum Algorithm {
     Pgd,
     /// Projected L-BFGS: quasi-Newton directions from a bounded
     /// curvature-pair history (two-loop recursion), a projection-aware
-    /// Armijo backtracking line search, and convergence-based stopping.
-    /// Reaches PGD-quality objectives in several-fold fewer
-    /// objective/gradient evaluations — the cold-deploy fast path.
+    /// Armijo backtracking line search, and an objective-plateau stop
+    /// under an iteration cap.
     Lbfgs,
 }
 
@@ -86,8 +85,8 @@ impl std::fmt::Display for Algorithm {
 impl std::str::FromStr for Algorithm {
     type Err = LdpError;
 
-    /// Parses an algorithm name as used on CLI flags and environment
-    /// variables (`pgd`, `lbfgs`; case, `-` and `_` are ignored).
+    /// Parses an algorithm name (`pgd`, `lbfgs`; case, `-` and `_` are
+    /// ignored).
     fn from_str(s: &str) -> Result<Self, LdpError> {
         let mut norm = s.trim().to_ascii_lowercase();
         norm.retain(|c| !matches!(c, '-' | '_' | ' '));
@@ -107,8 +106,8 @@ pub struct OptimizerConfig {
     /// Number of mechanism outputs `m`; defaults to `4n` (paper §4).
     pub num_outputs: Option<usize>,
     /// Descent iterations per restart. For [`Algorithm::Pgd`] this is an
-    /// exact budget; for [`Algorithm::Lbfgs`] (or whenever a stopping
-    /// rule below is set) it is a cap the convergence tests usually beat.
+    /// exact budget; for [`Algorithm::Lbfgs`] it is a cap its plateau
+    /// stop usually beats.
     pub iterations: usize,
     /// Number of random restarts; the best strategy wins.
     pub restarts: usize,
@@ -129,27 +128,6 @@ pub struct OptimizerConfig {
     /// (the paper's Algorithm 2); see [`OptimizerConfig::lbfgs`] for the
     /// quasi-Newton preset.
     pub algorithm: Algorithm,
-    /// Convergence-based stopping on the projected-gradient mapping
-    /// norm `‖Π_{z,ε}(Q − s·∇L) − Q‖_F / s ≤ tol·(1 + |L(Q)|)` — the
-    /// first-order stationarity measure that vanishes exactly at a
-    /// constrained minimum (`s` is PGD's current step `β`, or `1` for
-    /// the L-BFGS probe). `None` disables the test — PGD then runs its
-    /// exact historical iteration count with bit-identical results. The
-    /// decision is computed from the same bit-stable scalars as the
-    /// iterates, so stopping points are identical at every
-    /// `LDP_THREADS` setting.
-    pub gradient_tol: Option<f64>,
-    /// Convergence-based stopping on an objective plateau: stop after
-    /// this many consecutive iterations without a relative best-objective
-    /// improvement above `1e-9`. `None` disables the test (PGD keeps its
-    /// exact historical behavior).
-    pub plateau_window: Option<usize>,
-    /// Target-objective stopping (L-BFGS-B's `f_target`): stop as soon as
-    /// the best objective reaches this value. Turns a run into a
-    /// **time-to-target** measurement — "how long until the optimizer is
-    /// at least this good" — rather than a fixed-budget one. `None`
-    /// disables the test (the default; no behavior change).
-    pub target_objective: Option<f64>,
 }
 
 impl OptimizerConfig {
@@ -164,9 +142,6 @@ impl OptimizerConfig {
             seed,
             initial_strategy: None,
             algorithm: Algorithm::Pgd,
-            gradient_tol: None,
-            plateau_window: None,
-            target_objective: None,
         }
     }
 
@@ -182,17 +157,13 @@ impl OptimizerConfig {
             seed,
             initial_strategy: None,
             algorithm: Algorithm::Pgd,
-            gradient_tol: None,
-            plateau_window: None,
-            target_objective: None,
         }
     }
 
-    /// The projected L-BFGS preset: quasi-Newton descent with
-    /// convergence-based stopping. Targets the same final objective as
-    /// [`OptimizerConfig::new`] in several-fold fewer objective/gradient
-    /// evaluations; the iteration count is a cap, not a budget — the
-    /// stopping rules usually fire long before it.
+    /// The projected L-BFGS preset: quasi-Newton descent that targets the
+    /// same final objective as [`OptimizerConfig::new`] in fewer
+    /// objective/gradient evaluations. The iteration count is a cap, not
+    /// a budget: the descent stops once its objective plateaus.
     pub fn lbfgs(seed: u64) -> Self {
         Self {
             num_outputs: None,
@@ -203,52 +174,12 @@ impl OptimizerConfig {
             seed,
             initial_strategy: None,
             algorithm: Algorithm::Lbfgs,
-            gradient_tol: Some(1e-7),
-            plateau_window: Some(9),
-            target_objective: None,
         }
     }
 
     /// Selects the descent algorithm, keeping every other knob.
     pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
-        self
-    }
-
-    /// Test-harness hook: overrides the algorithm from the
-    /// `LDP_TEST_ALGORITHM` environment variable (`pgd` | `lbfgs`),
-    /// returning `self` unchanged when it is unset or unrecognized.
-    ///
-    /// This is how CI runs the integration suite once under the
-    /// quasi-Newton descent without forking every config literal. It is
-    /// strictly opt-in — constructors never read the environment — so
-    /// identity-sensitive suites (fingerprint goldens, the PGD/L-BFGS
-    /// parity tests) that name an algorithm explicitly stay pinned to
-    /// it regardless of the ambient variable.
-    pub fn with_env_algorithm(self) -> Self {
-        match std::env::var("LDP_TEST_ALGORITHM").ok().as_deref() {
-            Some("lbfgs") => self.with_algorithm(Algorithm::Lbfgs),
-            Some("pgd") => self.with_algorithm(Algorithm::Pgd),
-            _ => self,
-        }
-    }
-
-    /// Sets (or clears) the projected-gradient-norm stopping tolerance.
-    pub fn with_gradient_tol(mut self, tol: Option<f64>) -> Self {
-        self.gradient_tol = tol;
-        self
-    }
-
-    /// Sets (or clears) the objective-plateau stopping window.
-    pub fn with_plateau_window(mut self, window: Option<usize>) -> Self {
-        self.plateau_window = window;
-        self
-    }
-
-    /// Sets (or clears) the target-objective stop: the run ends as soon
-    /// as the best objective is at or below `target`.
-    pub fn with_target_objective(mut self, target: Option<f64>) -> Self {
-        self.target_objective = target;
         self
     }
 
@@ -329,42 +260,17 @@ impl OptimizerConfig {
                 }
             }
         }
-        // Post-/1 fields are hashed only when they leave their defaults,
-        // so every fingerprint minted before they existed — including the
-        // committed goldens and any strategy store in the field — is
-        // unchanged. A non-default algorithm or stopping rule changes the
-        // iterate stream, so it must (and does) change the key.
-        let extended = self.algorithm != Algorithm::Pgd
-            || self.gradient_tol.is_some()
-            || self.plateau_window.is_some()
-            || self.target_objective.is_some();
-        if extended {
-            h.write_str("ldp-optimizer-config/2");
+        // The algorithm is hashed only away from the PGD default, so every
+        // fingerprint minted before it existed — including the committed
+        // goldens and any strategy store in the field — is unchanged. The
+        // `/3` tag marks L-BFGS's fixed plateau stop: strategies stored
+        // under an older L-BFGS key came from a different stopping rule.
+        if self.algorithm != Algorithm::Pgd {
+            h.write_str("ldp-optimizer-config/3");
             h.write_u64(match self.algorithm {
                 Algorithm::Pgd => 0,
                 Algorithm::Lbfgs => 1,
             });
-            match self.gradient_tol {
-                None => h.write_u64(0),
-                Some(tol) => {
-                    h.write_u64(1);
-                    h.write_f64(tol);
-                }
-            }
-            match self.plateau_window {
-                None => h.write_u64(0),
-                Some(w) => {
-                    h.write_u64(1);
-                    h.write_u64(w as u64);
-                }
-            }
-            match self.target_objective {
-                None => h.write_u64(0),
-                Some(t) => {
-                    h.write_u64(1);
-                    h.write_f64(t);
-                }
-            }
         }
         h.finish()
     }
@@ -401,9 +307,6 @@ pub struct Workspace {
     pub(crate) stepped: Matrix,
     /// Best iterate so far (`m × n`).
     pub(crate) best_q: Matrix,
-    /// Previous iterate, kept only while a stopping rule needs the
-    /// per-iteration displacement (`m × n`).
-    pub(crate) prev_q: Matrix,
     /// Objective gradient (`m × n`).
     pub(crate) gradient: Matrix,
     /// Bound vector (`m`).
@@ -447,7 +350,6 @@ impl Workspace {
             q: Matrix::zeros(m, n),
             stepped: Matrix::zeros(m, n),
             best_q: Matrix::zeros(m, n),
-            prev_q: Matrix::zeros(m, n),
             gradient: Matrix::zeros(m, n),
             z: vec![0.0; m],
             grad_z: vec![0.0; m],
@@ -709,15 +611,7 @@ fn single_run(
                 Some(b) => b,
                 None => search_step_size(gram, epsilon, config, ws, &mut evals),
             };
-            descend(
-                gram,
-                epsilon,
-                beta,
-                config.iterations,
-                config,
-                ws,
-                &mut evals,
-            )
+            descend(gram, epsilon, beta, config.iterations, ws, &mut evals)
         }
         // L-BFGS scales its own steps via the line search, so the whole
         // geometric step-size search (and its eval budget) is skipped.
@@ -738,33 +632,16 @@ fn single_run(
     })
 }
 
-/// Relative best-objective improvement below which an iteration counts
-/// toward the [`OptimizerConfig::plateau_window`] stopping rule.
-pub(crate) const PLATEAU_REL: f64 = 5e-4;
-
-/// Whether `value` improves on `best` by more than [`PLATEAU_REL`]
-/// relative — the shared "did this iteration make progress" test of both
-/// algorithms' plateau stopping rules.
-pub(crate) fn significant_improvement(value: f64, best: f64) -> bool {
-    !best.is_finite() || value < best - PLATEAU_REL * best.abs()
-}
-
 /// The core descent loop, starting from the workspace's `(q0, z0)`.
 /// Leaves the best iterate in `ws.best_q` and the per-iteration objective
 /// history in `ws.history` (entry `t` is the objective *before* iteration
 /// `t`'s step; the final entry is the best objective found, which is also
 /// the return value). Allocation-free after workspace warm-up.
-///
-/// With both of `config`'s stopping rules `None` the loop is byte-for-byte
-/// the historical fixed-budget schedule: no extra arithmetic runs, so
-/// iterates, history, and iteration counts are bit-identical to every
-/// release before the rules existed.
 fn descend(
     gram: &Matrix,
     epsilon: f64,
     beta0: f64,
     iterations: usize,
-    config: &OptimizerConfig,
     ws: &mut Workspace,
     evals: &mut usize,
 ) -> f64 {
@@ -778,7 +655,6 @@ fn descend(
         q,
         stepped,
         best_q,
-        prev_q,
         gradient,
         z,
         grad_z,
@@ -795,7 +671,6 @@ fn descend(
     best_q.copy_from(q);
     let mut best_obj = f64::INFINITY;
     let mut prev_obj = f64::INFINITY;
-    let mut since_improve = 0usize;
     history.clear();
     history.reserve(iterations + 1);
 
@@ -813,31 +688,11 @@ fn descend(
             }
             // Either way, never step along a non-finite gradient.
             prev_obj = f64::INFINITY;
-            if let Some(window) = config.plateau_window {
-                since_improve += 1;
-                if since_improve >= window {
-                    break;
-                }
-            }
             continue;
         }
-        let significant = significant_improvement(value, best_obj);
         if value < best_obj {
             best_obj = value;
             best_q.copy_from(q);
-        }
-        if config.target_objective.is_some_and(|tgt| best_obj <= tgt) {
-            break;
-        }
-        if let Some(window) = config.plateau_window {
-            if significant {
-                since_improve = 0;
-            } else {
-                since_improve += 1;
-                if since_improve >= window {
-                    break;
-                }
-            }
         }
         if value > prev_obj {
             // Overshoot: decay the step (simple trust heuristic; the
@@ -862,24 +717,7 @@ fn descend(
         {
             *s = qv - gv * beta;
         }
-        if config.gradient_tol.is_some() {
-            prev_q.copy_from(q);
-        }
         project_columns_into(stepped, z, epsilon, q, jacobian, proj);
-        if let Some(tol) = config.gradient_tol {
-            // Projected-gradient mapping norm ‖Π(Q − β∇L) − Q‖_F / β: the
-            // first-order stationarity measure that is exactly zero at a
-            // constrained minimum. A plain sequential sum keeps the
-            // stopping decision bit-stable at every thread count.
-            let mut acc = 0.0;
-            for (a, b) in q.as_slice().iter().zip(prev_q.as_slice()) {
-                let d = a - b;
-                acc += d * d;
-            }
-            if acc.sqrt() / beta <= tol * (1.0 + value.abs()) {
-                break;
-            }
-        }
     }
     history.push(best_obj);
     best_obj
@@ -925,15 +763,7 @@ fn search_step_size(
     let mut best_obj = f64::INFINITY;
     for factor in [0.01, 0.1, 0.3, 1.0, 3.0, 10.0] {
         let beta = base * factor;
-        let obj = descend(
-            gram,
-            epsilon,
-            beta,
-            config.search_iterations,
-            config,
-            ws,
-            evals,
-        );
+        let obj = descend(gram, epsilon, beta, config.search_iterations, ws, evals);
         if obj.is_finite() && obj < best_obj {
             best_obj = obj;
             best_beta = beta;
@@ -1165,21 +995,14 @@ mod tests {
                 ..OptimizerConfig::new(7)
             },
             OptimizerConfig::new(7).with_algorithm(Algorithm::Lbfgs),
-            OptimizerConfig::new(7).with_gradient_tol(Some(1e-7)),
-            OptimizerConfig::new(7).with_plateau_window(Some(9)),
-            OptimizerConfig::new(7).with_target_objective(Some(10.0)),
         ];
         for v in &variants {
             assert_ne!(base.fingerprint(), v.fingerprint(), "{v:?}");
         }
-        // The post-/1 fields are hashed only away from their defaults, so
-        // every historical fingerprint (committed goldens, field strategy
-        // stores) is unchanged by their mere existence.
-        let defaulted = OptimizerConfig::new(7)
-            .with_algorithm(Algorithm::Pgd)
-            .with_gradient_tol(None)
-            .with_plateau_window(None)
-            .with_target_objective(None);
+        // The algorithm is hashed only away from its default, so every
+        // historical fingerprint (committed goldens, field strategy
+        // stores) is unchanged by its mere existence.
+        let defaulted = OptimizerConfig::new(7).with_algorithm(Algorithm::Pgd);
         assert_eq!(base.fingerprint(), defaulted.fingerprint());
         // A warm start keys on the exact matrix bits.
         let e = 1.0_f64.exp();
@@ -1188,41 +1011,6 @@ mod tests {
         let warm = StrategyMatrix::new(q).unwrap();
         let warmed = OptimizerConfig::new(7).with_warm_start(warm);
         assert_ne!(base.fingerprint(), warmed.fingerprint());
-    }
-
-    #[test]
-    fn env_algorithm_override_is_opt_in() {
-        // The only test touching this variable; the prior value is
-        // restored so the ambient CI lane (which sets it process-wide)
-        // is undisturbed.
-        let prior = std::env::var("LDP_TEST_ALGORITHM").ok();
-        std::env::set_var("LDP_TEST_ALGORITHM", "lbfgs");
-        assert_eq!(
-            OptimizerConfig::quick(1).with_env_algorithm().algorithm,
-            Algorithm::Lbfgs
-        );
-        // Constructors never read the environment.
-        assert_eq!(OptimizerConfig::quick(1).algorithm, Algorithm::Pgd);
-        std::env::set_var("LDP_TEST_ALGORITHM", "pgd");
-        assert_eq!(
-            OptimizerConfig::lbfgs(1).with_env_algorithm().algorithm,
-            Algorithm::Pgd
-        );
-        // Unrecognized values and an unset variable are both no-ops.
-        std::env::set_var("LDP_TEST_ALGORITHM", "bogus");
-        assert_eq!(
-            OptimizerConfig::quick(1).with_env_algorithm().algorithm,
-            Algorithm::Pgd
-        );
-        std::env::remove_var("LDP_TEST_ALGORITHM");
-        assert_eq!(
-            OptimizerConfig::lbfgs(1).with_env_algorithm().algorithm,
-            Algorithm::Lbfgs
-        );
-        match prior {
-            Some(v) => std::env::set_var("LDP_TEST_ALGORITHM", v),
-            None => std::env::remove_var("LDP_TEST_ALGORITHM"),
-        }
     }
 
     #[test]

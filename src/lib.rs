@@ -96,7 +96,7 @@
 //! | Module | Contents |
 //! |--------|----------|
 //! | [`pipeline`] | `Pipeline` → `Deployment` → `Estimate`: the top-level deployment API, schema front door, ad-hoc query serving |
-//! | [`linalg`] | dense matrices, Jacobi eigendecomposition, SVD, pinv, Cholesky, LU |
+//! | [`linalg`] | dense matrices, Jacobi eigendecomposition, SVD, pinv, Cholesky |
 //! | [`core`] | data vectors, strategy matrices, factorization mechanism, client/shard/aggregator protocol, variance/complexity/bounds |
 //! | [`workloads`] | `Schema`/`Query` DSL over multi-attribute domains; Histogram, Prefix, All Range, marginals, Parity, custom/stacked |
 //! | [`mechanisms`] | RR, Hadamard, Hierarchical, Fourier, RAPPOR, Subset Selection, local Matrix Mechanism |

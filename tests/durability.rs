@@ -171,57 +171,60 @@ proptest! {
 /// A registry warm hit skips PGD and returns a strategy bit-identical to
 /// the cold optimization and to a registry-free optimizer call — at
 /// every thread override (parallel restarts are part of the PR 3
-/// contract).
+/// contract), for both descent algorithms. The two algorithms share one
+/// registry, so the L-BFGS lookup is cold: its key never aliases PGD's.
 #[test]
 fn registry_warm_hit_is_bit_identical_and_skips_pgd() {
     let dir = unique_dir("registry");
     let registry = StrategyRegistry::open(&dir).unwrap();
-    let config = OptimizerConfig {
-        iterations: 25,
-        restarts: 2,
-        search_iterations: 4,
-        ..OptimizerConfig::quick(11)
-    }
-    .with_env_algorithm();
-    let epsilon = 1.0;
+    for algorithm in [Algorithm::Pgd, Algorithm::Lbfgs] {
+        let config = OptimizerConfig {
+            iterations: 25,
+            restarts: 2,
+            search_iterations: 4,
+            ..OptimizerConfig::quick(11)
+        }
+        .with_algorithm(algorithm);
+        let epsilon = 1.0;
 
-    // Registry-free reference: what a plain optimization produces.
-    let reference = optimize_strategy(&Prefix::new(8).gram(), epsilon, &config).unwrap();
+        // Registry-free reference: what a plain optimization produces.
+        let reference = optimize_strategy(&Prefix::new(8).gram(), epsilon, &config).unwrap();
 
-    let (cold_dep, cold_outcome) = Pipeline::for_workload(Prefix::new(8))
-        .epsilon(epsilon)
-        .optimized_cached(&config, &registry)
-        .unwrap();
-    assert_eq!(cold_outcome, CacheOutcome::Cold);
-
-    under_thread_overrides(|threads| {
-        let (warm_dep, warm_outcome) = Pipeline::for_workload(Prefix::new(8))
+        let (cold_dep, cold_outcome) = Pipeline::for_workload(Prefix::new(8))
             .epsilon(epsilon)
             .optimized_cached(&config, &registry)
             .unwrap();
-        assert_eq!(
-            warm_outcome,
-            CacheOutcome::Warm,
-            "expected warm hit at {threads} workers"
-        );
-        // Bit-identical mechanism state: the reconstruction is a pure
-        // function of the strategy, so K equality certifies Q equality.
-        assert_eq!(
-            warm_dep.mechanism().reconstruction_matrix().as_slice(),
-            cold_dep.mechanism().reconstruction_matrix().as_slice(),
-            "warm != cold at {threads} workers"
-        );
-    });
+        assert_eq!(cold_outcome, CacheOutcome::Cold);
 
-    // The persisted strategy is the optimizer's own output, bit-for-bit.
-    let (stored, outcome) = registry
-        .get_or_optimize(&Prefix::new(8), epsilon, &config)
-        .unwrap();
-    assert_eq!(outcome, CacheOutcome::Warm);
-    assert_eq!(
-        stored.matrix().as_slice(),
-        reference.strategy.matrix().as_slice()
-    );
+        under_thread_overrides(|threads| {
+            let (warm_dep, warm_outcome) = Pipeline::for_workload(Prefix::new(8))
+                .epsilon(epsilon)
+                .optimized_cached(&config, &registry)
+                .unwrap();
+            assert_eq!(
+                warm_outcome,
+                CacheOutcome::Warm,
+                "expected warm hit at {threads} workers"
+            );
+            // Bit-identical mechanism state: the reconstruction is a pure
+            // function of the strategy, so K equality certifies Q equality.
+            assert_eq!(
+                warm_dep.mechanism().reconstruction_matrix().as_slice(),
+                cold_dep.mechanism().reconstruction_matrix().as_slice(),
+                "warm != cold at {threads} workers"
+            );
+        });
+
+        // The persisted strategy is the optimizer's own output, bit-for-bit.
+        let (stored, outcome) = registry
+            .get_or_optimize(&Prefix::new(8), epsilon, &config)
+            .unwrap();
+        assert_eq!(outcome, CacheOutcome::Warm);
+        assert_eq!(
+            stored.matrix().as_slice(),
+            reference.strategy.matrix().as_slice()
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -236,8 +239,7 @@ fn registry_distinguishes_workloads_not_instances() {
         iterations: 12,
         search_iterations: 3,
         ..OptimizerConfig::quick(5)
-    }
-    .with_env_algorithm();
+    };
 
     let (_, o1) = registry
         .get_or_optimize(&Prefix::new(8), 1.0, &config)

@@ -71,8 +71,7 @@ fn high_epsilon_matches_randomized_response() {
     let rr = randomized_response(n, epsilon, &gram).unwrap();
     let config = OptimizerConfig::new(1)
         .with_iterations(150)
-        .with_warm_start(rr.strategy().clone())
-        .with_env_algorithm();
+        .with_warm_start(rr.strategy().clone());
     let opt = optimized_mechanism(&gram, epsilon, &config).unwrap();
     let sc_rr = rr.sample_complexity(&gram, n, 0.01);
     let sc_opt = opt.sample_complexity(&gram, n, 0.01);
@@ -93,12 +92,7 @@ fn measured_error_matches_analytic_variance() {
     let data = DataVector::from_counts(vec![200.0, 100.0, 50.0, 150.0, 0.0, 80.0, 20.0, 400.0]);
     for workload in ldp::workloads::paper_suite(n) {
         let gram = workload.gram();
-        let mech = optimized_mechanism(
-            &gram,
-            epsilon,
-            &OptimizerConfig::quick(4).with_env_algorithm(),
-        )
-        .unwrap();
+        let mech = optimized_mechanism(&gram, epsilon, &OptimizerConfig::quick(4)).unwrap();
         let analytic = mech.data_variance(&gram, &data);
 
         let mut rng = StdRng::seed_from_u64(31);
@@ -127,12 +121,7 @@ fn wnnls_helps_in_low_data_regime() {
     let data = ldp::data::hepth_shape(n).sample(500, &mut StdRng::seed_from_u64(2));
     for workload in ldp::workloads::paper_suite(n) {
         let gram = workload.gram();
-        let mech = optimized_mechanism(
-            &gram,
-            epsilon,
-            &OptimizerConfig::quick(6).with_env_algorithm(),
-        )
-        .unwrap();
+        let mech = optimized_mechanism(&gram, epsilon, &OptimizerConfig::quick(6)).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let base = simulated_normalized_variance(
             workload.as_ref(),
@@ -167,9 +156,7 @@ fn optimizer_output_is_coherent() {
     let w = AllRange::new(16);
     let gram = w.gram();
     let eps = 1.5;
-    let result =
-        ldp::opt::optimize_strategy(&gram, eps, &OptimizerConfig::quick(8).with_env_algorithm())
-            .unwrap();
+    let result = ldp::opt::optimize_strategy(&gram, eps, &OptimizerConfig::quick(8)).unwrap();
     // Privacy certificate.
     result
         .strategy
@@ -201,12 +188,7 @@ fn data_dependent_complexity_close_to_worst_case() {
     let epsilon = 1.0;
     let w = Prefix::new(n);
     let gram = w.gram();
-    let mech = optimized_mechanism(
-        &gram,
-        epsilon,
-        &OptimizerConfig::quick(12).with_env_algorithm(),
-    )
-    .unwrap();
+    let mech = optimized_mechanism(&gram, epsilon, &OptimizerConfig::quick(12)).unwrap();
     let p = w.num_queries();
     let worst = mech.sample_complexity(&gram, p, 0.01);
     for shape in [

@@ -68,25 +68,12 @@ fn observed() -> Vec<(&'static str, u64)> {
             "OptimizerConfig::quick(42)",
             OptimizerConfig::quick(42).fingerprint(),
         ),
-        // The `/2` extended block: selecting L-BFGS or any stopping rule
-        // must re-key the registry (the iterate stream changes), while
-        // the all-default configs above keep their pre-`/2` hashes.
+        // The extended block: selecting L-BFGS must re-key the registry
+        // (the iterate stream changes), while the PGD config above keeps
+        // its pre-extension hash.
         (
             "OptimizerConfig::lbfgs(42)",
             OptimizerConfig::lbfgs(42).fingerprint(),
-        ),
-        (
-            "OptimizerConfig::quick(42)+stopping",
-            OptimizerConfig::quick(42)
-                .with_gradient_tol(Some(1e-7))
-                .with_plateau_window(Some(9))
-                .fingerprint(),
-        ),
-        (
-            "OptimizerConfig::lbfgs(42)+target",
-            OptimizerConfig::lbfgs(42)
-                .with_target_objective(Some(512.0))
-                .fingerprint(),
         ),
         // Open-domain deployments: sparse fingerprints bind checkpoints
         // and serve-side state exactly like workload fingerprints bind
@@ -105,7 +92,7 @@ fn observed() -> Vec<(&'static str, u64)> {
 
 /// The committed fingerprints. Regenerate with
 /// `cargo test --test fingerprint_golden -- --nocapture print_fingerprints`.
-const GOLDEN: [(&str, u64); 19] = [
+const GOLDEN: [(&str, u64); 17] = [
     ("Histogram(16)", 0xd4ee89c438ebbda8),
     ("Prefix(16)", 0xd525c013cbf8ddda),
     ("AllRange(16)", 0x255aa356a0de5f51),
@@ -120,9 +107,7 @@ const GOLDEN: [(&str, u64); 19] = [
     ("Stacked(Hist16 + Total16)", 0x8b48a8323e842de1),
     ("SchemaWorkload(age8 x sex2)", 0x9009379dd8f43349),
     ("OptimizerConfig::quick(42)", 0x16ce92124434b333),
-    ("OptimizerConfig::lbfgs(42)", 0xa6d7bf20865561f0),
-    ("OptimizerConfig::quick(42)+stopping", 0x461c07e6cd4a2466),
-    ("OptimizerConfig::lbfgs(42)+target", 0xbd7920c7e004f071),
+    ("OptimizerConfig::lbfgs(42)", 0x71f5d31aa6314646),
     ("SparseDeployment::olh(url,2.0)", 0xa76625a468a0a4fb),
     ("SparseDeployment::hadamard(url,2.0,8)", 0x83adadc0f97d65a7),
 ];

@@ -1,5 +1,6 @@
 //! Objective parity of the L-BFGS strategy optimizer against projected
-//! gradient descent on every conformance workload family.
+//! gradient descent on every conformance workload family at n = 8, plus
+//! a looser check on All Range at the paper's n = 64.
 //!
 //! The acceptance contract for [`ldp_opt::Algorithm::Lbfgs`] is twofold,
 //! and both halves are asserted per family:
@@ -28,7 +29,7 @@ use ldp_workloads::{
 };
 
 /// Relative slack on the objective comparison: L-BFGS stops on its own
-/// convergence criteria, so tiny last-iterate differences are expected.
+/// plateau rule, so tiny last-iterate differences are expected.
 const REL_TOL: f64 = 1e-6;
 
 /// Runs both algorithms from the same seed and asserts the parity
@@ -168,30 +169,33 @@ fn nested_composite_parity() {
     assert_parity(&w, 7);
 }
 
-/// Time-to-target, counted instead of timed: L-BFGS chasing PGD's final
-/// objective as its `target_objective` (plateau stopping off, so only
-/// the target or the cap can end the run) genuinely reaches it, in
-/// fewer evaluations than PGD spent getting there.
+/// L-BFGS at paper scale on All Range (n = 64, ε = 1), where the initial
+/// objective is about 6.6e6. It must actually descend (more than one
+/// evaluation), in at most half of PGD's evaluations, and end within 2%
+/// of PGD's objective.
 #[test]
-fn lbfgs_target_objective_stop_reaches_the_pgd_objective() {
-    let gram = Prefix::new(16).gram();
-    let pgd = optimize_strategy(&gram, 1.0, &OptimizerConfig::new(7)).unwrap();
-    let targeted = OptimizerConfig {
-        target_objective: Some(pgd.objective),
-        plateau_window: None,
-        ..OptimizerConfig::lbfgs(7)
-    };
-    let lbfgs = optimize_strategy(&gram, 1.0, &targeted).unwrap();
-    assert!(
-        lbfgs.objective <= pgd.objective,
-        "L-BFGS stopped at {} without reaching the PGD target {}",
-        lbfgs.objective,
-        pgd.objective,
-    );
-    assert!(
-        lbfgs.evaluations < pgd.evaluations,
-        "L-BFGS used {} evaluations to reach PGD's objective, PGD used {}",
-        lbfgs.evaluations,
-        pgd.evaluations,
-    );
+fn lbfgs_descends_on_all_range_at_n64() {
+    let gram = AllRange::new(64).gram();
+    for seed in [0, 7, 11] {
+        let pgd = optimize_strategy(&gram, 1.0, &OptimizerConfig::new(seed)).unwrap();
+        let lbfgs = optimize_strategy(&gram, 1.0, &OptimizerConfig::lbfgs(seed)).unwrap();
+        assert!(
+            lbfgs.evaluations > 1,
+            "seed {seed}: L-BFGS stopped after {} evaluation(s)",
+            lbfgs.evaluations,
+        );
+        assert!(
+            lbfgs.evaluations * 2 <= pgd.evaluations,
+            "seed {seed}: L-BFGS used {} evaluations, PGD used {}",
+            lbfgs.evaluations,
+            pgd.evaluations,
+        );
+        assert!(
+            lbfgs.objective <= 1.02 * pgd.objective,
+            "seed {seed}: L-BFGS objective {} is {:.3}x PGD's {}",
+            lbfgs.objective,
+            lbfgs.objective / pgd.objective,
+            pgd.objective,
+        );
+    }
 }

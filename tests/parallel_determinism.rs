@@ -149,7 +149,7 @@ fn lbfgs_bit_identical_across_threads() {
     // n = 48 → m = 192, so m·n = 9216 crosses the projection's parallel
     // threshold: every line-search retraction inside the L-BFGS descent
     // runs the fan-out λ path at 2 and 4 workers. History bits pin the
-    // stopping decisions (plateau + gradient tol), not just the argmin.
+    // plateau stopping decision, not just the argmin.
     let gram = Prefix::new(48).gram();
     let config = OptimizerConfig::lbfgs(23);
     assert_thread_invariant("lbfgs descent", || {

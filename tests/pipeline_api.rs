@@ -19,12 +19,11 @@ fn workload(kind: usize, n: usize) -> Box<dyn Workload + Send + Sync> {
 }
 
 /// A cheap optimizer configuration keeping the property tests fast.
-/// Honors `LDP_TEST_ALGORITHM` so CI can sweep the suite under L-BFGS.
-fn quick_config(seed: u64) -> OptimizerConfig {
-    let mut config = OptimizerConfig::quick(seed);
+fn quick_config(seed: u64, algorithm: Algorithm) -> OptimizerConfig {
+    let mut config = OptimizerConfig::quick(seed).with_algorithm(algorithm);
     config.iterations = 30;
     config.search_iterations = 4;
-    config.with_env_algorithm()
+    config
 }
 
 proptest! {
@@ -32,7 +31,8 @@ proptest! {
 
     /// Pipeline-built optimized deployments agree bit-for-bit with the
     /// manual `optimized_mechanism` + `Client`/`Aggregator` path for the
-    /// same seeds, on Histogram, Prefix, and AllRange.
+    /// same seeds, on Histogram, Prefix, and AllRange, under both
+    /// descent algorithms.
     #[test]
     fn pipeline_matches_manual_path(
         kind in 0usize..3,
@@ -41,45 +41,47 @@ proptest! {
         report_seed in 0u64..1000,
     ) {
         let n = 8;
-        let w = workload(kind, n);
-        let config = quick_config(opt_seed);
+        for algorithm in [Algorithm::Pgd, Algorithm::Lbfgs] {
+            let w = workload(kind, n);
+            let config = quick_config(opt_seed, algorithm);
 
-        // Manual path: hand-thread gram → optimizer → mechanism →
-        // client → aggregator → wnnls.
-        let gram = w.gram();
-        let mech = optimized_mechanism(&gram, eps, &config).unwrap();
-        let client = Client::new(mech.strategy().clone());
-        let mut agg = Aggregator::new(&mech);
-        let mut rng = StdRng::seed_from_u64(report_seed);
-        for user in 0..n {
-            for _ in 0..20 {
-                agg.ingest(client.respond(user, &mut rng)).unwrap();
+            // Manual path: hand-thread gram → optimizer → mechanism →
+            // client → aggregator → wnnls.
+            let gram = w.gram();
+            let mech = optimized_mechanism(&gram, eps, &config).unwrap();
+            let client = Client::new(mech.strategy().clone());
+            let mut agg = Aggregator::new(&mech);
+            let mut rng = StdRng::seed_from_u64(report_seed);
+            for user in 0..n {
+                for _ in 0..20 {
+                    agg.ingest(client.respond(user, &mut rng)).unwrap();
+                }
             }
-        }
-        let manual_xhat = agg.estimate();
-        let manual_answers = w.evaluate(&manual_xhat);
-        let manual_consistent = wnnls(&gram, &manual_xhat, &WnnlsOptions::default());
+            let manual_xhat = agg.estimate();
+            let manual_answers = w.evaluate(&manual_xhat);
+            let manual_consistent = wnnls(&gram, &manual_xhat, &WnnlsOptions::default());
 
-        // Pipeline path, same seeds end to end.
-        let deployment = Pipeline::for_shared_workload(std::sync::Arc::from(w))
-            .epsilon(eps)
-            .optimized(&config)
-            .unwrap();
-        let pclient = deployment.client();
-        let mut pagg = deployment.aggregator();
-        let mut prng = StdRng::seed_from_u64(report_seed);
-        for user in 0..n {
-            for _ in 0..20 {
-                pagg.ingest(pclient.respond(user, &mut prng)).unwrap();
+            // Pipeline path, same seeds end to end.
+            let deployment = Pipeline::for_shared_workload(std::sync::Arc::from(w))
+                .epsilon(eps)
+                .optimized(&config)
+                .unwrap();
+            let pclient = deployment.client();
+            let mut pagg = deployment.aggregator();
+            let mut prng = StdRng::seed_from_u64(report_seed);
+            for user in 0..n {
+                for _ in 0..20 {
+                    pagg.ingest(pclient.respond(user, &mut prng)).unwrap();
+                }
             }
-        }
-        let estimate = deployment.estimate(&pagg);
+            let estimate = deployment.estimate(&pagg);
 
-        prop_assert_eq!(estimate.reports(), (20 * n) as u64);
-        prop_assert_eq!(estimate.data_vector(), manual_xhat.as_slice());
-        prop_assert_eq!(estimate.answers(), manual_answers);
-        let consistent = estimate.consistent();
-        prop_assert_eq!(consistent.data_vector(), manual_consistent.as_slice());
+            prop_assert_eq!(estimate.reports(), (20 * n) as u64);
+            prop_assert_eq!(estimate.data_vector(), manual_xhat.as_slice());
+            prop_assert_eq!(estimate.answers(), manual_answers);
+            let consistent = estimate.consistent();
+            prop_assert_eq!(consistent.data_vector(), manual_consistent.as_slice());
+        }
     }
 
     /// N merged shards equal one sequential aggregator exactly — counts

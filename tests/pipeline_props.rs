@@ -23,7 +23,7 @@ proptest! {
         let gram = workload.gram();
         // Skip the all-zero workload (objective trivially 0).
         prop_assume!(gram.max_abs() > 1e-6);
-        let config = OptimizerConfig { iterations: 40, search_iterations: 5, ..OptimizerConfig::quick(seed) }.with_env_algorithm();
+        let config = OptimizerConfig { iterations: 40, search_iterations: 5, ..OptimizerConfig::quick(seed) };
         let result = ldp::opt::optimize_strategy(&gram, eps, &config).unwrap();
         prop_assert!(result.strategy.epsilon() <= eps * (1.0 + 1e-9) + 1e-12);
         let bound = ldp::core::bounds::svd_bound_objective(&gram, eps);
@@ -125,10 +125,7 @@ fn heterogeneous_mechanism_ranking() {
             Calibration::L1,
             15,
         )),
-        Box::new(
-            optimized_mechanism(&gram, eps, &OptimizerConfig::quick(2).with_env_algorithm())
-                .unwrap(),
-        ),
+        Box::new(optimized_mechanism(&gram, eps, &OptimizerConfig::quick(2)).unwrap()),
     ];
     let p = w.num_queries();
     let mut scores: Vec<(String, f64)> = mechanisms

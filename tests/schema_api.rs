@@ -79,8 +79,7 @@ fn schema_deployment_answers_and_warm_starts() {
         iterations: 20,
         search_iterations: 4,
         ..OptimizerConfig::quick(13)
-    }
-    .with_env_algorithm();
+    };
     let deploy = |registry: &StrategyRegistry| {
         Pipeline::for_schema(small_schema())
             .queries(small_queries())
@@ -310,8 +309,7 @@ fn optimizer_treats_schema_gram_like_dense() {
         iterations: 15,
         search_iterations: 3,
         ..OptimizerConfig::quick(3)
-    }
-    .with_env_algorithm();
+    };
     let structured = optimize_strategy(&workload.gram(), 1.0, &config).unwrap();
     let dense = optimize_strategy(&workload.gram().to_dense(), 1.0, &config).unwrap();
     assert_eq!(structured.objective, dense.objective);
