@@ -8,6 +8,8 @@
 //! [`SparseIngestor`] the server-side accumulator with checkpoint /
 //! resume hooks mirroring the dense `Aggregator`.
 
+use std::cmp::Ordering;
+
 use ldp_core::LdpError;
 use ldp_linalg::stablehash::Fnv64;
 use rand::RngCore;
@@ -180,8 +182,9 @@ impl SparseDeployment {
     pub fn ingestor(&self) -> SparseIngestor {
         SparseIngestor {
             binding: self.binding(),
-            merged: SparseShard::new(),
-            pairs: Vec::new(),
+            run: Vec::new(),
+            scratch: Vec::new(),
+            reports: 0,
             epoch: 0,
             batches: 0,
         }
@@ -294,15 +297,39 @@ impl SparseClient {
     }
 }
 
-/// Server-side accumulator for one sparse deployment: merged canonical
-/// state plus checkpoint bookkeeping (epoch, batches, binding),
-/// mirroring the dense `Aggregator`.
+/// Server-side accumulator for one sparse deployment: the merged state
+/// as one canonical sorted run, plus checkpoint bookkeeping (epoch,
+/// batches, binding), mirroring the dense `Aggregator`.
+///
+/// Queries and checkpoints read the run directly; only
+/// [`SparseIngestor::absorb`] writes it, by a linear merge of each
+/// shard's sorted export. Merges are exact `u64` addition, so any
+/// shard grouping and order yields the same run:
+///
+/// ```
+/// let dep = ldp_sparse::SparseDeployment::olh("url", 2.0).unwrap();
+/// let mut ingestor = dep.ingestor();
+/// let mut a = ldp_sparse::SparseShard::new();
+/// let mut b = ldp_sparse::SparseShard::new();
+/// a.absorb(7);
+/// b.absorb(7);
+/// b.absorb(3);
+/// ingestor.absorb(&mut b, 1);
+/// ingestor.absorb(&mut a, 1);
+/// assert_eq!(ingestor.pairs(), &[(3, 1), (7, 2)]);
+/// assert_eq!(ingestor.reports(), 3);
+/// assert!(a.is_empty() && b.is_empty());
+/// ```
 #[derive(Debug, Clone)]
 pub struct SparseIngestor {
     binding: u64,
-    merged: SparseShard,
-    /// Canonical sorted pairs, rebuilt lazily after mutation.
-    pairs: Vec<(u64, u64)>,
+    /// Canonical strictly-key-ascending `(report, count)` pairs.
+    run: Vec<(u64, u64)>,
+    /// Merge target, swapped with `run` after each merge so neither
+    /// buffer is reallocated once it has grown.
+    scratch: Vec<(u64, u64)>,
+    /// Sum of the counts in `run`.
+    reports: u64,
     epoch: u64,
     batches: u64,
 }
@@ -315,7 +342,7 @@ impl SparseIngestor {
 
     /// Total reports absorbed.
     pub fn reports(&self) -> u64 {
-        self.merged.reports()
+        self.reports
     }
 
     /// Checkpoint epoch: increments once per encoded checkpoint.
@@ -333,49 +360,91 @@ impl SparseIngestor {
         self.absorb(shard, 1);
     }
 
-    /// Folds a filled shard into the merged state, crediting `batches`
-    /// absorbed batches — the serve merge barrier's entry point, where
-    /// one connection shard accumulates many submitted batches. Exact
-    /// integer addition, so any shard grouping yields the same state.
+    /// Folds a filled shard into the merged state, leaving it empty and
+    /// crediting `batches` absorbed batches — the serve merge barrier's
+    /// entry point, where one connection shard accumulates many
+    /// submitted batches. An empty shard only credits `batches`.
     pub fn absorb(&mut self, shard: &mut SparseShard, batches: u64) {
-        self.merged.merge_from(shard);
         self.batches += batches;
-        self.pairs.clear();
+        if shard.is_empty() {
+            return;
+        }
+        self.reports += shard.reports();
+        let incoming = shard.drain_sorted();
+        merge_runs(&self.run, &incoming, &mut self.scratch);
+        std::mem::swap(&mut self.run, &mut self.scratch);
     }
 
-    /// The canonical sorted `(report, count)` pairs of the merged
-    /// state, cached until the next mutation.
-    pub fn pairs(&mut self) -> &[(u64, u64)] {
-        if self.pairs.is_empty() && !self.merged.is_empty() {
-            self.pairs = self.merged.to_sorted();
-        }
-        &self.pairs
+    /// The canonical sorted `(report, count)` pairs of the merged state.
+    pub fn pairs(&self) -> &[(u64, u64)] {
+        &self.run
     }
 
     /// Snapshot view for encoding: bumps the epoch and returns
     /// `(epoch, batches, binding, sorted pairs)`.
     pub fn checkpoint(&mut self) -> (u64, u64, u64, Vec<(u64, u64)>) {
         self.epoch += 1;
-        (
-            self.epoch,
-            self.batches,
-            self.binding,
-            self.merged.to_sorted(),
-        )
+        (self.epoch, self.batches, self.binding, self.run.clone())
     }
 
     /// Rebuilds an ingestor from decoded checkpoint fields. The caller
     /// (see [`crate::decode_sparse_checkpoint`]) has already verified
     /// the binding matches the hosting deployment.
+    ///
+    /// # Panics
+    /// Panics if `pairs` is not strictly ascending by report or its
+    /// counts overflow `u64` — a corrupt input; decoded checkpoints
+    /// validate both before reaching here.
     pub fn resume(binding: u64, epoch: u64, batches: u64, pairs: &[(u64, u64)]) -> Self {
+        assert!(
+            pairs.windows(2).all(|w| w[0].0 < w[1].0),
+            "sparse ingestor pairs must be strictly ascending"
+        );
+        let mut reports = 0u64;
+        for &(_, count) in pairs {
+            assert!(
+                u64::MAX - reports >= count,
+                "sparse ingestor report total overflowed u64"
+            );
+            reports += count;
+        }
         Self {
             binding,
-            merged: SparseShard::from_sorted(pairs),
-            pairs: pairs.to_vec(),
+            run: pairs.to_vec(),
+            scratch: Vec::new(),
+            reports,
             epoch,
             batches,
         }
     }
+}
+
+/// Merges two strictly ascending runs into `out` (cleared first),
+/// adding the counts of reports present in both.
+fn merge_runs(run: &[(u64, u64)], incoming: &[(u64, u64)], out: &mut Vec<(u64, u64)>) {
+    out.clear();
+    out.reserve(run.len() + incoming.len());
+    let (mut i, mut j) = (0, 0);
+    while i < run.len() && j < incoming.len() {
+        let (a, b) = (run[i], incoming[j]);
+        match a.0.cmp(&b.0) {
+            Ordering::Less => {
+                out.push(a);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(b);
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.push((a.0, a.1 + b.1));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&run[i..]);
+    out.extend_from_slice(&incoming[j..]);
 }
 
 #[cfg(test)]
@@ -402,6 +471,56 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
+    }
+
+    #[test]
+    fn absorb_any_grouping_is_canonical() {
+        let dep = SparseDeployment::olh("url", 2.0).unwrap();
+        let reports: Vec<u64> = (0..1000).map(|i| (i * i) % 97).collect();
+        let mut single = SparseShard::new();
+        single.absorb_batch(&reports);
+        let expected = single.to_sorted();
+
+        for shards in [2usize, 3, 7] {
+            let mut parts: Vec<SparseShard> = (0..shards).map(|_| SparseShard::new()).collect();
+            for (i, &r) in reports.iter().enumerate() {
+                parts[i % shards].absorb(r);
+            }
+            // Fold right-to-left to exercise a non-trivial merge order.
+            let mut ingestor = dep.ingestor();
+            for part in parts.iter_mut().rev() {
+                ingestor.absorb_shard(part);
+            }
+            assert_eq!(ingestor.pairs(), expected);
+            assert_eq!(ingestor.reports(), single.reports());
+            assert_eq!(ingestor.batches(), shards as u64);
+        }
+    }
+
+    #[test]
+    fn resume_round_trips() {
+        let dep = SparseDeployment::olh("url", 2.0).unwrap();
+        let mut shard = SparseShard::new();
+        shard.absorb_batch(&[5, 5, 1, 9, 5]);
+        let mut ingestor = dep.ingestor();
+        ingestor.absorb(&mut shard, 2);
+        let (epoch, batches, binding, pairs) = ingestor.checkpoint();
+        let rebuilt = SparseIngestor::resume(binding, epoch, batches, &pairs);
+        assert_eq!(rebuilt.pairs(), &[(1, 1), (5, 3), (9, 1)]);
+        assert_eq!(rebuilt.reports(), 5);
+        assert_eq!((rebuilt.epoch(), rebuilt.batches()), (1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn resume_rejects_an_unsorted_run() {
+        SparseIngestor::resume(0, 0, 0, &[(9, 1), (5, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflowed u64")]
+    fn resume_rejects_an_overflowing_total() {
+        SparseIngestor::resume(0, 0, 0, &[(1, u64::MAX), (2, 1)]);
     }
 
     #[test]

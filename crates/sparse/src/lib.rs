@@ -13,8 +13,9 @@
 //!   exact unbiased estimators and closed-form per-report variance —
 //!   OLH for point queries, Hadamard for bulk heavy-hitter sweeps.
 //! * [`SparseShard`] counts raw reports with exact `u64` multiplicity;
-//!   any number of shards merged in any order export byte-identical
-//!   canonical sorted pairs, at any `LDP_THREADS` × kernel backend.
+//!   [`SparseIngestor`] merges shards linearly into one canonical
+//!   sorted run, so any number of shards merged in any order give
+//!   byte-identical pairs, at any `LDP_THREADS` × kernel backend.
 //! * [`SparseDeployment`] binds an attribute to an oracle and answers
 //!   point queries and variance-aware top-k heavy hitters
 //!   (admit only when the estimate clears `z·σ`; deterministic

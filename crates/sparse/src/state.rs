@@ -3,27 +3,24 @@
 //! A [`SparseShard`] counts raw LDP reports in a hash map keyed by the
 //! `u64` report value — the natural structure for ingest, where report
 //! order is arbitrary and per-connection shards fill independently. The
-//! map is *internal only*: every path that persists, fingerprints, or
-//! estimates goes through [`SparseShard::to_sorted`], which exports the
-//! canonical strictly-key-ascending `(report, count)` pairs. That
-//! canonicalization is what makes N shards merged in any order
-//! byte-equal to one shard, at any `LDP_THREADS` × kernel backend:
-//! counts are exact `u64`s and integer addition is associative and
-//! commutative.
+//! map is *internal only*: every path that leaves a shard goes through
+//! [`SparseShard::to_sorted`] or [`SparseShard::drain_sorted`], which
+//! export the canonical strictly-key-ascending `(report, count)` pairs.
+//! The central [`crate::SparseIngestor`] keeps its state as one such
+//! run and merges exported pairs into it linearly; counts are exact
+//! `u64`s and integer addition is associative and commutative, so N
+//! shards merged in any order are byte-equal to one shard, at any
+//! `LDP_THREADS` × kernel backend.
 
 use std::collections::HashMap;
 
 /// One ingestion shard: exact `u64` multiplicities of raw reports.
 ///
 /// ```
-/// let mut a = ldp_sparse::SparseShard::new();
-/// let mut b = ldp_sparse::SparseShard::new();
-/// a.absorb(7);
-/// b.absorb(7);
-/// b.absorb(3);
-/// a.merge_from(&mut b);
-/// assert_eq!(a.to_sorted(), vec![(3, 1), (7, 2)]);
-/// assert_eq!(a.reports(), 3);
+/// let mut shard = ldp_sparse::SparseShard::new();
+/// shard.absorb_batch(&[7, 3, 7]);
+/// assert_eq!(shard.to_sorted(), vec![(3, 1), (7, 2)]);
+/// assert_eq!(shard.reports(), 3);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SparseShard {
@@ -35,25 +32,6 @@ impl SparseShard {
     /// An empty shard.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Rebuilds a shard from canonical sorted pairs (checkpoint resume).
-    ///
-    /// # Panics
-    /// Panics if total count overflows `u64` — a corrupt input; decoded
-    /// checkpoints validate totals before reaching here.
-    pub fn from_sorted(pairs: &[(u64, u64)]) -> Self {
-        let mut counts = HashMap::with_capacity(pairs.len());
-        let mut reports = 0u64;
-        for &(report, count) in pairs {
-            counts.insert(report, count);
-            assert!(
-                u64::MAX - reports >= count,
-                "sparse shard report total overflowed u64"
-            );
-            reports += count;
-        }
-        Self { counts, reports }
     }
 
     /// Counts one report.
@@ -69,24 +47,9 @@ impl SparseShard {
         }
     }
 
-    /// Folds `other` into `self`, leaving `other` empty. Exact integer
-    /// merge — any merge order and grouping yields identical state.
-    pub fn merge_from(&mut self, other: &mut SparseShard) {
-        for (report, count) in other.counts.drain() {
-            *self.counts.entry(report).or_insert(0) += count;
-        }
-        self.reports += other.reports;
-        other.reports = 0;
-    }
-
     /// Total reports counted (with multiplicity).
     pub fn reports(&self) -> u64 {
         self.reports
-    }
-
-    /// Number of distinct report values.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
     }
 
     /// Whether no reports have been counted.
@@ -96,7 +59,8 @@ impl SparseShard {
 
     /// The canonical export: `(report, count)` pairs sorted strictly
     /// ascending by report. Every persisted, fingerprinted, or
-    /// estimated view of a shard goes through this.
+    /// estimated view of a shard goes through this or
+    /// [`SparseShard::drain_sorted`].
     // Unordered iteration is safe here and only here: the sort on the
     // next line restores the canonical order before anything can
     // observe allocator state.
@@ -106,6 +70,19 @@ impl SparseShard {
         pairs.sort_unstable();
         pairs
     }
+
+    /// Empties the shard into its canonical export (what
+    /// [`SparseShard::to_sorted`] would return). The map keeps its
+    /// capacity for the next reports.
+    // Unordered iteration is safe here for the same reason as in
+    // `to_sorted`: the sort restores the canonical order first.
+    #[allow(clippy::disallowed_methods)]
+    pub fn drain_sorted(&mut self) -> Vec<(u64, u64)> {
+        let mut pairs: Vec<(u64, u64)> = self.counts.drain().collect();
+        pairs.sort_unstable();
+        self.reports = 0;
+        pairs
+    }
 }
 
 #[cfg(test)]
@@ -113,34 +90,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_any_grouping_is_canonical() {
-        let reports: Vec<u64> = (0..1000).map(|i| (i * i) % 97).collect();
-        let mut single = SparseShard::new();
-        single.absorb_batch(&reports);
-
-        for shards in [2usize, 3, 7] {
-            let mut parts: Vec<SparseShard> = (0..shards).map(|_| SparseShard::new()).collect();
-            for (i, &r) in reports.iter().enumerate() {
-                parts[i % shards].absorb(r);
-            }
-            // Fold right-to-left to exercise a non-trivial merge order.
-            let mut merged = SparseShard::new();
-            for part in parts.iter_mut().rev() {
-                merged.merge_from(part);
-            }
-            assert_eq!(merged.to_sorted(), single.to_sorted());
-            assert_eq!(merged.reports(), single.reports());
-        }
-    }
-
-    #[test]
-    fn from_sorted_round_trips() {
+    fn drain_sorted_exports_and_empties() {
         let mut shard = SparseShard::new();
         shard.absorb_batch(&[5, 5, 1, 9, 5]);
-        let pairs = shard.to_sorted();
-        let rebuilt = SparseShard::from_sorted(&pairs);
-        assert_eq!(rebuilt.to_sorted(), pairs);
-        assert_eq!(rebuilt.reports(), 5);
-        assert_eq!(rebuilt.distinct(), 3);
+        let expected = shard.to_sorted();
+        assert_eq!(shard.drain_sorted(), expected);
+        assert!(shard.is_empty());
+        assert_eq!(shard.to_sorted(), vec![]);
+        shard.absorb(2);
+        assert_eq!(shard.drain_sorted(), vec![(2, 1)]);
     }
 }
