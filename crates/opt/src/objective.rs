@@ -51,16 +51,15 @@ pub struct ObjectiveWorkspace {
     b: Matrix,
     /// `M = QᵀB` (`n × n`).
     m_mat: Matrix,
-    /// Cholesky factor of `M` (`n × n`).
+    /// Cholesky factor of `M`, with `Lᵀ` mirrored above the diagonal
+    /// (`n × n`).
     l: Matrix,
-    /// `Y = M⁻¹G` (`n × n`).
+    /// `Yᵀ = (M⁻¹G)ᵀ`, one solved right-hand side per row (`n × n`).
     y: Matrix,
     /// `H = M⁻¹GM⁻¹` (`n × n`).
     h: Matrix,
     /// `B·H` (`m × n`).
     bh: Matrix,
-    /// Column/solve scratch (`n`).
-    col: Vec<f64>,
 }
 
 impl ObjectiveWorkspace {
@@ -75,7 +74,6 @@ impl ObjectiveWorkspace {
             y: Matrix::zeros(n, n),
             h: Matrix::zeros(n, n),
             bh: Matrix::zeros(m, n),
-            col: vec![0.0; n],
         }
     }
 
@@ -143,19 +141,23 @@ pub fn evaluate_into(
     ws.m_mat.symmetrize();
 
     // Y = M⁻¹G and H = M⁻¹GM⁻¹, via Cholesky when possible.
+    // The right-hand sides are solved as rows, several at a time; each
+    // row gets exactly the bits of a lone single-vector solve.
     let value = if Cholesky::factor_into(&ws.m_mat, &mut ws.l) {
+        // Row j of Yᵀ solves against column j of G.
         for j in 0..n {
-            gram.col_into(j, &mut ws.col);
-            Cholesky::solve_in_place_with(&ws.l, &mut ws.col);
-            ws.y.set_col(j, &ws.col);
+            gram.col_into(j, ws.y.row_mut(j));
         }
+        Cholesky::solve_rows_in_place(&ws.l, ws.y.as_mut_slice());
         let value = ws.y.trace();
-        // H = M⁻¹(G M⁻¹) = M⁻¹Yᵀ: column j of H solves against row j of Y.
+        // H = M⁻¹(G M⁻¹) = M⁻¹Yᵀ: column j of H solves against row j of
+        // Y, so with Y's rows laid out as rows of `h` the solve leaves Hᵀ,
+        // which symmetrizes to the same bits as H (the average is
+        // commutative).
         for j in 0..n {
-            ws.col.copy_from_slice(ws.y.row(j));
-            Cholesky::solve_in_place_with(&ws.l, &mut ws.col);
-            ws.h.set_col(j, &ws.col);
+            ws.h.set_col(j, ws.y.row(j));
         }
+        Cholesky::solve_rows_in_place(&ws.l, ws.h.as_mut_slice());
         ws.h.symmetrize();
         value
     } else {
@@ -246,6 +248,75 @@ mod tests {
         let fresh2 = evaluate(&q2, &gram);
         assert_eq!(v2, fresh2.value);
         assert_eq!(grad, fresh2.gradient);
+    }
+
+    /// The single-vector solve the objective used before its right-hand
+    /// sides were blocked, kept verbatim as the oracle: forward
+    /// substitution by prefix `dot`, back substitution walking column `i`
+    /// of `L` (only the lower triangle is read).
+    fn reference_solve(l: &Matrix, b: &mut [f64]) {
+        let n = l.rows();
+        for i in 0..n {
+            let (solved, rest) = b.split_at_mut(i);
+            rest[0] = (rest[0] - ldp_linalg::dot(&l.row(i)[..i], solved)) / l[(i, i)];
+        }
+        for i in (0..n).rev() {
+            for k in (i + 1)..n {
+                b[i] -= l[(k, i)] * b[k];
+            }
+            b[i] /= l[(i, i)];
+        }
+    }
+
+    #[test]
+    fn blocked_solves_match_single_vector_reference_bitwise() {
+        // n covers every block tail width (n mod 4 = 0, 1, 2, 3) and the
+        // ledger's n = 64. The reference rebuilds Y = M⁻¹G and
+        // H = M⁻¹Yᵀ column by column from the factor `evaluate_into`
+        // left in the workspace; value and H must agree to the bit (the
+        // gradient is computed from H by code the solves do not touch).
+        let run = |n: usize| {
+            let m = 4 * n;
+            let q = random_stochastic(m, n, 40 + n as u64);
+            let w = random_stochastic(n + 3, n, 90 + n as u64);
+            let gram = w.gram();
+            let mut ws = ObjectiveWorkspace::new(m, n);
+            let mut grad = Matrix::zeros(m, n);
+            let value = evaluate_into(&q, &gram, &mut ws, &mut grad);
+            assert!(
+                Cholesky::factor_into(&ws.m_mat, &mut Matrix::zeros(n, n)),
+                "n = {n} must take the Cholesky path"
+            );
+
+            let mut y = Matrix::zeros(n, n);
+            let mut col = vec![0.0; n];
+            for j in 0..n {
+                gram.col_into(j, &mut col);
+                reference_solve(&ws.l, &mut col);
+                y.set_col(j, &col);
+            }
+            let mut h = Matrix::zeros(n, n);
+            for j in 0..n {
+                col.copy_from_slice(y.row(j));
+                reference_solve(&ws.l, &mut col);
+                h.set_col(j, &col);
+            }
+            h.symmetrize();
+            assert_eq!(value.to_bits(), y.trace().to_bits(), "value at n = {n}");
+            let bits = |a: &Matrix| a.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&ws.h), bits(&h), "H at n = {n}");
+        };
+        for backend in ldp_linalg::Backend::available() {
+            for threads in [1, 4] {
+                ldp_parallel::with_thread_override(Some(threads), || {
+                    ldp_linalg::kernels::with_backend(backend, || {
+                        for n in [1, 2, 3, 4, 5, 7, 64, 65] {
+                            run(n);
+                        }
+                    })
+                });
+            }
+        }
     }
 
     #[test]

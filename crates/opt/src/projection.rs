@@ -17,6 +17,15 @@
 //! against degenerate all-clipped configurations and doubles as a test
 //! oracle.
 //!
+//! The scan stops at the crossing, so only the sorted prefix up to it is
+//! ever read. [`ProjectionScratch`] keeps each column's last `λ`; two
+//! Newton steps on `φ` from that hint estimate the crossing, and only the
+//! breakpoints up to the estimate (plus the next one) are sorted and
+//! scanned before the rest. Because every breakpoint in the first part
+//! orders before every one in the second, the scan visits the breakpoints
+//! in exactly the full sort's order, so `λ` has the same bits whatever
+//! the hint.
+//!
 //! ## Differentiating through the projection
 //!
 //! Algorithm 2 needs `∇_z L` where `Q = Π_{z,ε}(R)`: the projection is
@@ -135,14 +144,21 @@ impl ProjectionJacobian {
     }
 }
 
-/// Reusable scratch for [`project_columns_into`] (breakpoint list, one
-/// column buffer, and the per-column multipliers of the parallel path),
-/// so repeated projections allocate nothing on the serial path.
+/// Reusable scratch for [`project_columns_into`] (breakpoint keys, one
+/// column buffer, and each column's multiplier), so repeated projections
+/// allocate nothing on the serial path.
+///
+/// The multipliers double as hints: the next projection of the same
+/// shape starts each column's crossing search from its previous `λ`. A
+/// hint changes how much of the breakpoint list is sorted, never the
+/// result.
 #[derive(Clone, Debug, Default)]
 pub struct ProjectionScratch {
-    breakpoints: Vec<(f64, f64)>,
+    keys: Vec<u128>,
     col: Vec<f64>,
     lambdas: Vec<f64>,
+    /// `(m, n)` the hints in `lambdas` belong to.
+    shape: (usize, usize),
 }
 
 impl ProjectionScratch {
@@ -198,59 +214,48 @@ pub fn project_columns_into(
     );
 
     jacobian.reset(m, n, exp_eps);
+    let ProjectionScratch {
+        keys,
+        col,
+        lambdas,
+        shape,
+    } = scratch;
+    if *shape != (m, n) {
+        // Hints from another shape mean nothing; +∞ sorts everything.
+        *shape = (m, n);
+        lambdas.clear();
+        lambdas.resize(n, f64::INFINITY);
+    }
+    // The expensive part of a column — the sorted breakpoint scan —
+    // depends only on that column of `r`, the shared `z` and the column's
+    // own hint slot, which it overwrites with the new λ.
+    let solve = |u0: usize, chunk: &mut [f64], col: &mut Vec<f64>, keys: &mut Vec<u128>| {
+        col.resize(m, 0.0);
+        for (i, slot) in chunk.iter_mut().enumerate() {
+            for (o, c) in col.iter_mut().enumerate() {
+                *c = r[(o, u0 + i)];
+            }
+            *slot = solve_lambda(col, z, exp_eps, *slot, keys);
+        }
+    };
     let pool = ldp_parallel::pool();
     if pool.threads() > 1 && m * n >= PAR_MIN_WORK {
-        // Parallel path: the expensive part of a column — the sorted
-        // breakpoint scan — depends only on that column of `r` and the
-        // shared `z`, so the multipliers are computed one column per
-        // granule with nothing shared between workers. Each λ_u is
-        // produced by exactly the arithmetic the serial loop runs on
-        // exactly the same inputs, so the result is bit-identical at
-        // every thread count (the crate-wide determinism contract). The
-        // cheap clip/classify pass then runs serially below.
-        scratch.lambdas.clear();
-        scratch.lambdas.resize(n, 0.0);
-        pool.par_chunks(&mut scratch.lambdas, 1, |u0, chunk| {
-            let mut col = vec![0.0; m];
-            let mut breakpoints = Vec::with_capacity(2 * m);
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                let u = u0 + i;
-                for (o, c) in col.iter_mut().enumerate() {
-                    *c = r[(o, u)];
-                }
-                *slot = solve_lambda(&col, z, exp_eps, &mut breakpoints);
-            }
+        // One column per granule with nothing shared between workers.
+        // Each λ_u is produced by exactly the arithmetic the serial loop
+        // runs on exactly the same inputs, so the result is bit-identical
+        // at every thread count (the crate-wide determinism contract).
+        pool.par_chunks(lambdas, 1, |u0, chunk| {
+            solve(u0, chunk, &mut Vec::new(), &mut Vec::new());
         });
-        for u in 0..n {
-            let lambda = scratch.lambdas[u];
-            let col_states = &mut jacobian.states[u * m..(u + 1) * m];
-            for o in 0..m {
-                let (lo, hi) = (z[o], exp_eps * z[o]);
-                let v = r[(o, u)] + lambda;
-                let (clipped, state) = if v <= lo {
-                    (lo, ClipState::Lower)
-                } else if v >= hi {
-                    (hi, ClipState::Upper)
-                } else {
-                    (v, ClipState::Active)
-                };
-                q[(o, u)] = clipped;
-                col_states[o] = state;
-            }
-        }
-        return;
+    } else {
+        solve(0, lambdas, col, keys);
     }
-    scratch.col.clear();
-    scratch.col.resize(m, 0.0);
-    for u in 0..n {
-        for o in 0..m {
-            scratch.col[o] = r[(o, u)];
-        }
-        let lambda = solve_lambda(&scratch.col, z, exp_eps, &mut scratch.breakpoints);
+    // The cheap clip/classify pass.
+    for (u, &lambda) in lambdas.iter().enumerate() {
         let col_states = &mut jacobian.states[u * m..(u + 1) * m];
         for o in 0..m {
             let (lo, hi) = (z[o], exp_eps * z[o]);
-            let v = scratch.col[o] + lambda;
+            let v = r[(o, u)] + lambda;
             let (clipped, state) = if v <= lo {
                 (lo, ClipState::Lower)
             } else if v >= hi {
@@ -267,32 +272,46 @@ pub fn project_columns_into(
 /// Finds `λ` with `Σ_o clip(r_o + λ, z_o, E z_o) = 1` by the sorted
 /// breakpoint scan of Algorithm 1, falling back to bisection if the scan
 /// is defeated by degenerate ties.
-fn solve_lambda(r: &[f64], z: &[f64], exp_eps: f64, breakpoints: &mut Vec<(f64, f64)>) -> f64 {
+///
+/// The breakpoints are visited in `f64::total_cmp` order, ties in push
+/// order (the lower breakpoint of output `o` is pushed at `2o`, its upper
+/// one at `2o + 1`). `hint` only decides how much of that order is
+/// sorted before the scan starts: a finite hint splits the list at a
+/// Newton estimate of the crossing, anything else sorts it whole.
+fn solve_lambda(r: &[f64], z: &[f64], exp_eps: f64, hint: f64, keys: &mut Vec<u128>) -> f64 {
     let m = r.len();
+    assert!(2 * m as u64 <= 1 << 32, "push indices must fit in 32 bits");
     // Breakpoints: at λ = z_o − r_o coordinate o starts increasing
     // (slope +1); at λ = E·z_o − r_o it saturates (slope −1 relative).
-    breakpoints.clear();
-    breakpoints.reserve(2 * m);
+    keys.clear();
+    keys.reserve(2 * m);
     for o in 0..m {
-        breakpoints.push((z[o] - r[o], 1.0));
-        breakpoints.push((exp_eps * z[o] - r[o], -1.0));
+        keys.push(breakpoint_key(z[o] - r[o], 2 * o));
+        keys.push(breakpoint_key(exp_eps * z[o] - r[o], 2 * o + 1));
     }
-    breakpoints.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let split = if hint.is_finite() {
+        let estimate = newton_estimate(r, z, exp_eps, hint);
+        partition_through(keys, breakpoint_key(estimate, u32::MAX as usize))
+    } else {
+        keys.len()
+    };
+    let (head, tail) = keys.split_at_mut(split);
+    head.sort_unstable();
 
     // Below every breakpoint, φ(λ) = Σ z (all at lower clip), slope 0.
-    let mut phi: f64 = z.iter().sum();
-    let mut slope = 0.0;
-    let mut prev = breakpoints[0].0;
-    for &(bp, ds) in breakpoints.iter() {
-        let next_phi = phi + slope * (bp - prev);
-        if next_phi >= 1.0 && slope > 0.0 {
-            // Crossing inside (prev, bp].
-            return prev + (1.0 - phi) / slope;
-        }
-        phi = next_phi;
-        slope += ds;
-        prev = bp;
+    let mut scan = Scan {
+        phi: z.iter().sum(),
+        slope: 0.0,
+        prev: breakpoint(head[0]).0,
+    };
+    if let Some(lambda) = scan.crossing(head) {
+        return lambda;
     }
+    tail.sort_unstable();
+    if let Some(lambda) = scan.crossing(tail) {
+        return lambda;
+    }
+    let Scan { phi, slope, prev } = scan;
     if slope > 0.0 {
         // Crossing beyond the last breakpoint (cannot happen when the
         // feasibility precondition holds, but handle it).
@@ -303,6 +322,98 @@ fn solve_lambda(r: &[f64], z: &[f64], exp_eps: f64, breakpoints: &mut Vec<(f64, 
         return prev;
     }
     bisect_lambda(r, z, exp_eps)
+}
+
+/// The state of Algorithm 1's scan after the breakpoints seen so far:
+/// `φ` at the last breakpoint `prev` and the slope to its right.
+struct Scan {
+    phi: f64,
+    slope: f64,
+    prev: f64,
+}
+
+impl Scan {
+    /// Continues the scan over the sorted `keys`, returning `λ` if the
+    /// crossing lies at or before the last of them.
+    fn crossing(&mut self, keys: &[u128]) -> Option<f64> {
+        for &key in keys {
+            let (bp, ds) = breakpoint(key);
+            let next_phi = self.phi + self.slope * (bp - self.prev);
+            if next_phi >= 1.0 && self.slope > 0.0 {
+                // Crossing inside (prev, bp].
+                return Some(self.prev + (1.0 - self.phi) / self.slope);
+            }
+            self.phi = next_phi;
+            self.slope += ds;
+            self.prev = bp;
+        }
+        None
+    }
+}
+
+/// Maps `f64::total_cmp` order onto unsigned integer order.
+fn order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// A breakpoint's sort key: its [`order_bits`] above its push index, so
+/// the keys are unique and integer order is the stable `total_cmp` order.
+fn breakpoint_key(value: f64, index: usize) -> u128 {
+    (u128::from(order_bits(value)) << 32) | index as u128
+}
+
+/// Decodes a [`breakpoint_key`] into the exact breakpoint and its slope
+/// change (`+1` for a lower breakpoint, at an even index; `−1` for an
+/// upper one).
+fn breakpoint(key: u128) -> (f64, f64) {
+    let order = (key >> 32) as u64;
+    let bits = if order >> 63 == 1 {
+        order & !(1 << 63)
+    } else {
+        !order
+    };
+    let ds = if key & 1 == 0 { 1.0 } else { -1.0 };
+    (f64::from_bits(bits), ds)
+}
+
+/// Two Newton steps on `φ(λ) = 1` from `lambda`. `φ` is piecewise linear,
+/// so from a nearby hint this usually lands on the crossing itself. The
+/// result is only an estimate: a flat `φ` at the hint sends it to ±∞ or
+/// NaN, which merely makes the split sort more.
+fn newton_estimate(r: &[f64], z: &[f64], exp_eps: f64, mut lambda: f64) -> f64 {
+    for _ in 0..2 {
+        let mut phi = 0.0;
+        let mut active = 0u32;
+        for (&ro, &zo) in r.iter().zip(z) {
+            let (lo, hi) = (zo, exp_eps * zo);
+            let v = ro + lambda;
+            phi += v.max(lo).min(hi);
+            active += u32::from((v > lo) & (v < hi));
+        }
+        lambda += (1.0 - phi) / f64::from(active);
+    }
+    lambda
+}
+
+/// Moves every key `≤ bound`, plus the least key above it, to the front
+/// of `keys` (in no particular order) and returns how many that is.
+/// Every key in the front part is then below every key behind it.
+fn partition_through(keys: &mut [u128], bound: u128) -> usize {
+    let mut split = 0;
+    for i in 0..keys.len() {
+        keys.swap(split, i);
+        split += usize::from(keys[split] <= bound);
+    }
+    if let Some(least) = (split..keys.len()).min_by_key(|&i| keys[i]) {
+        keys.swap(split, least);
+        split += 1;
+    }
+    split
 }
 
 /// Bisection oracle for `λ` — slower but unconditionally robust. Public
@@ -401,7 +512,7 @@ mod tests {
             let t = rng.gen_range(((-eps).exp() + 1e-3)..0.999);
             let z: Vec<f64> = raw.iter().map(|v| v * t / s).collect();
             let r: Vec<f64> = (0..m).map(|_| rng.gen_range(-1.0..2.0)).collect();
-            let fast = solve_lambda(&r, &z, eps.exp(), &mut Vec::new());
+            let fast = solve_lambda(&r, &z, eps.exp(), f64::INFINITY, &mut Vec::new());
             let slow = bisect_lambda(&r, &z, eps.exp());
             // Compare the clipped results (λ itself may be non-unique on
             // flat segments).
@@ -519,5 +630,147 @@ mod tests {
         let r = Matrix::filled(m, 1, 100.0);
         let (q, _) = project_columns(&r, &z, eps);
         check_column_feasible(&q.col(0), &z, eps);
+    }
+
+    /// Algorithm 1 as it was before the prefix split, kept verbatim as the
+    /// oracle: a stable `total_cmp` sort of all `2m` breakpoints, then one
+    /// scan.
+    fn full_sort_lambda(r: &[f64], z: &[f64], exp_eps: f64) -> f64 {
+        let m = r.len();
+        let mut breakpoints = Vec::with_capacity(2 * m);
+        for o in 0..m {
+            breakpoints.push((z[o] - r[o], 1.0));
+            breakpoints.push((exp_eps * z[o] - r[o], -1.0));
+        }
+        breakpoints.sort_by(|a: &(f64, f64), b| a.0.total_cmp(&b.0));
+        let mut phi: f64 = z.iter().sum();
+        let mut slope = 0.0;
+        let mut prev = breakpoints[0].0;
+        for &(bp, ds) in breakpoints.iter() {
+            let next_phi = phi + slope * (bp - prev);
+            if next_phi >= 1.0 && slope > 0.0 {
+                return prev + (1.0 - phi) / slope;
+            }
+            phi = next_phi;
+            slope += ds;
+            prev = bp;
+        }
+        if slope > 0.0 {
+            return prev + (1.0 - phi) / slope;
+        }
+        if (phi - 1.0).abs() < 1e-9 {
+            return prev;
+        }
+        bisect_lambda(r, z, exp_eps)
+    }
+
+    /// A random column with feasible bounds (`Σz < 1 < E·Σz`).
+    fn random_column(rng: &mut StdRng) -> (Vec<f64>, Vec<f64>, f64) {
+        let m = rng.gen_range(1..40);
+        let exp_eps = rng.gen_range(0.2f64..4.0).exp();
+        let raw: Vec<f64> = (0..m).map(|_| rng.gen_range(0.1..1.0)).collect();
+        let s: f64 = raw.iter().sum();
+        let t = rng.gen_range((1.0 / exp_eps + 1e-3)..0.999);
+        let z = raw.iter().map(|v| v * t / s).collect();
+        let r = (0..m).map(|_| rng.gen_range(-1.0..2.0)).collect();
+        (r, z, exp_eps)
+    }
+
+    /// A column whose breakpoints tie a lot, across kinds too: E = 2,
+    /// every `z_o = 1/16` and every `r_o` a multiple of 1/16, so every
+    /// breakpoint is an exact multiple of 1/16 in a narrow range. At
+    /// m = 16, `Σz = 1` sits exactly on the feasibility boundary.
+    fn tied_column(rng: &mut StdRng) -> (Vec<f64>, Vec<f64>, f64) {
+        let m = rng.gen_range(12..17);
+        let r = (0..m)
+            .map(|_| rng.gen_range(-4i32..5) as f64 / 16.0)
+            .collect();
+        (r, vec![1.0 / 16.0; m], 2.0)
+    }
+
+    #[test]
+    fn lambda_bits_do_not_depend_on_the_hint() {
+        let mut rng = StdRng::seed_from_u64(0x1a3b);
+        let mut keys = Vec::new();
+        let mut other = 0.25;
+        let mut bisected = 0;
+        for case in 0..600 {
+            let (r, z, exp_eps) = match case % 3 {
+                0 => random_column(&mut rng),
+                1 => tied_column(&mut rng),
+                _ => {
+                    // Infeasible bounds (E·Σz < 1): the scan never
+                    // crosses and the bisection fallback decides λ.
+                    let (r, mut z, exp_eps) = random_column(&mut rng);
+                    let scale = rng.gen_range(0.2..0.9) / (exp_eps * z.iter().sum::<f64>());
+                    z.iter_mut().for_each(|v| *v *= scale);
+                    let want = bisect_lambda(&r, &z, exp_eps);
+                    assert_eq!(full_sort_lambda(&r, &z, exp_eps).to_bits(), want.to_bits());
+                    bisected += 1;
+                    (r, z, exp_eps)
+                }
+            };
+            let want = full_sort_lambda(&r, &z, exp_eps);
+            for hint in [
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                want,
+                want + 1.0,
+                want - 1.0,
+                other,
+            ] {
+                let got = solve_lambda(&r, &z, exp_eps, hint, &mut keys);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "case {case}, hint {hint}: {got} vs full sort {want}"
+                );
+            }
+            other = want;
+        }
+        assert_eq!(bisected, 200);
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_scratch_bytewise() {
+        // PGD-like iterates: each projection's input is the last output
+        // stepped along a random direction, with z drifting, so the hints
+        // the reused scratch carries are close but never exact. The
+        // second instance crosses PAR_MIN_WORK and runs on four workers.
+        for (m, n, threads) in [(24usize, 10usize, 1usize), (128, 80, 4)] {
+            assert_eq!(m * n >= PAR_MIN_WORK, threads > 1);
+            ldp_parallel::with_thread_override(Some(threads), || {
+                let mut rng = StdRng::seed_from_u64((m * n) as u64);
+                let eps = 1.0_f64;
+                let mut z = feasible_z(m, eps);
+                let mut r = Matrix::from_fn(m, n, |_, _| rng.gen::<f64>());
+                let mut q = Matrix::zeros(m, n);
+                let mut jac = ProjectionJacobian::empty();
+                let mut scratch = ProjectionScratch::new();
+                let bits =
+                    |a: &Matrix| a.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                for iterate in 0..50 {
+                    project_columns_into(&r, &z, eps, &mut q, &mut jac, &mut scratch);
+                    let (fresh_q, fresh_jac) = project_columns(&r, &z, eps);
+                    assert_eq!(bits(&q), bits(&fresh_q), "q at iterate {iterate}");
+                    assert_eq!(jac.states, fresh_jac.states, "states at iterate {iterate}");
+                    r = Matrix::from_fn(m, n, |o, u| {
+                        q[(o, u)] - 0.05 * rng.gen_range(-1.0..1.0) / m as f64
+                    });
+                    for v in z.iter_mut() {
+                        *v *= 1.0 + rng.gen_range(-0.02..0.02);
+                    }
+                    crate::pgd::enforce_feasible_bounds(&mut z, eps.exp());
+                }
+                // A shape change drops the hints rather than misusing them.
+                let narrow = Matrix::from_fn(m, n - 1, |o, u| r[(o, u)]);
+                let mut narrow_q = Matrix::zeros(m, n - 1);
+                project_columns_into(&narrow, &z, eps, &mut narrow_q, &mut jac, &mut scratch);
+                let (fresh_q, fresh_jac) = project_columns(&narrow, &z, eps);
+                assert_eq!(bits(&narrow_q), bits(&fresh_q));
+                assert_eq!(jac.states, fresh_jac.states);
+            });
+        }
     }
 }
