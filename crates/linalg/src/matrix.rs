@@ -411,13 +411,6 @@ impl Matrix {
         m
     }
 
-    /// Applies `f` to every entry, in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f64) -> f64) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Sum of the diagonal entries.
     ///
     /// # Panics

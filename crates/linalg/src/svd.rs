@@ -52,12 +52,6 @@ impl Svd {
     pub fn reconstruct(&self) -> Matrix {
         self.u.scale_cols(&self.singular_values).matmul_t(&self.v)
     }
-
-    /// Sum of the singular values (the nuclear norm), used by the paper's
-    /// SVD lower bound (Theorem 5.6).
-    pub fn nuclear_norm(&self) -> f64 {
-        self.singular_values.iter().sum()
-    }
 }
 
 /// Computes the thin SVD of an arbitrary rectangular matrix.

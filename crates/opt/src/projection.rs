@@ -42,7 +42,12 @@
 //! ⇒ (∂q/∂z)ᵀg |_j = (1{j∈L} + E·1{j∈U})·(g_j − mean_{A}(g))
 //! ```
 //!
-//! which is what [`ProjectionJacobian::backprop_z`] computes.
+//! which is what [`ProjectionJacobian::backprop_z_into`] computes.
+//!
+//! The bookkeeping around Algorithm 1's sort and scan takes one pass
+//! each: the partition writes each column's keys once, already split,
+//! and the clip pass and the backprop walk the iterate in its row-major
+//! layout.
 
 use ldp_linalg::Matrix;
 
@@ -54,21 +59,29 @@ use ldp_linalg::Matrix;
 /// parallelism pays.
 const PAR_MIN_WORK: usize = 8_192;
 
-/// How a coordinate ended up after projection.
+/// How a coordinate ended up after projection. The discriminant indexes
+/// the backprop's per-state tables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
 enum ClipState {
-    Lower,
-    Active,
-    Upper,
+    Lower = 0,
+    Active = 1,
+    Upper = 2,
 }
 
-/// The per-column clip pattern of a projection, retained so gradients can
-/// be backpropagated onto `z`. Stored flat (column-major) so the buffer
-/// is reusable across iterations without reallocation.
+/// The clip pattern of a projection, retained so gradients can be
+/// backpropagated onto `z`. Stored flat in the iterate's row-major
+/// layout, with the backprop's per-column scratch beside it, so the
+/// buffers are reused across iterations without reallocation.
 #[derive(Clone, Debug)]
 pub struct ProjectionJacobian {
-    /// `states[u·m + o]` — clip state of entry `(o, u)`.
+    /// `states[o·n + u]` — clip state of entry `(o, u)`.
     states: Vec<ClipState>,
+    /// Per column: the upstream gradient's sum, then mean, over the
+    /// active set.
+    active_means: Vec<f64>,
+    /// Per column: the size of the active set.
+    active_counts: Vec<u32>,
     m: usize,
     n: usize,
     exp_eps: f64,
@@ -79,15 +92,17 @@ impl ProjectionJacobian {
     pub fn empty() -> Self {
         Self {
             states: Vec::new(),
+            active_means: Vec::new(),
+            active_counts: Vec::new(),
             m: 0,
             n: 0,
             exp_eps: 1.0,
         }
     }
 
-    /// Resizes (reusing capacity) for an `m × n` projection.
+    /// Resizes (reusing capacity) for an `m × n` projection. The clip
+    /// pass then overwrites every state.
     fn reset(&mut self, m: usize, n: usize, exp_eps: f64) {
-        self.states.clear();
         self.states.resize(m * n, ClipState::Active);
         self.m = m;
         self.n = n;
@@ -95,51 +110,66 @@ impl ProjectionJacobian {
     }
 
     /// Pulls a gradient w.r.t. the projected matrix `Q` back onto the
-    /// bound vector `z`, summing contributions over all columns.
+    /// bound vector `z`, summing contributions over all columns, into a
+    /// preallocated buffer (overwritten). No allocation after the first
+    /// call at a given `n`.
     ///
-    /// # Panics
-    /// Panics if `grad_q`'s shape disagrees with the recorded projection.
-    pub fn backprop_z(&self, grad_q: &Matrix) -> Vec<f64> {
-        let mut grad_z = vec![0.0; grad_q.rows()];
-        self.backprop_z_into(grad_q, &mut grad_z);
-        grad_z
-    }
-
-    /// [`ProjectionJacobian::backprop_z`] into a preallocated buffer
-    /// (overwritten). No allocation.
+    /// Two row-major passes: the first sums each column's active
+    /// gradient over ascending `o`, the second sums each `grad_z[o]` over
+    /// ascending `u`. Where an entry must not count (a clipped one in the
+    /// first pass, an active one in the second), it adds `+0.0` through a
+    /// select or a mask, never a multiply. Every sum starts at `+0.0`, so it
+    /// can never become `−0.0` and those additions leave its bits alone; a
+    /// non-finite upstream entry at a clipped position reaches only its own
+    /// output.
     ///
     /// # Panics
     /// Panics if shapes disagree with the recorded projection.
-    pub fn backprop_z_into(&self, grad_q: &Matrix, grad_z: &mut [f64]) {
-        let m = grad_q.rows();
-        let n = grad_q.cols();
+    pub fn backprop_z_into(&mut self, grad_q: &Matrix, grad_z: &mut [f64]) {
+        let (m, n) = grad_q.shape();
         assert_eq!(self.n, n, "column count mismatch");
         assert_eq!(self.m, m, "row count mismatch");
         assert_eq!(grad_z.len(), m, "gradient buffer length");
-        grad_z.fill(0.0);
-        for u in 0..n {
-            let states = &self.states[u * m..(u + 1) * m];
-            // Mean of the upstream gradient over the active set.
-            let mut active_sum = 0.0;
-            let mut active_count = 0usize;
-            for (o, &s) in states.iter().enumerate() {
-                if s == ClipState::Active {
-                    active_sum += grad_q[(o, u)];
-                    active_count += 1;
-                }
+        let Self {
+            states,
+            active_means,
+            active_counts,
+            exp_eps,
+            ..
+        } = self;
+        active_means.clear();
+        active_means.resize(n, 0.0);
+        active_counts.clear();
+        active_counts.resize(n, 0);
+        for o in 0..m {
+            let rows = grad_q.row(o).iter().zip(&states[o * n..][..n]);
+            for ((sum, count), (&g, &s)) in
+                active_means.iter_mut().zip(&mut *active_counts).zip(rows)
+            {
+                let active = s == ClipState::Active;
+                *sum += if active { g } else { 0.0 };
+                *count += u32::from(active);
             }
-            let active_mean = if active_count > 0 {
-                active_sum / active_count as f64
+        }
+        for (mean, &count) in active_means.iter_mut().zip(&*active_counts) {
+            *mean = if count > 0 {
+                *mean / f64::from(count)
             } else {
                 0.0
             };
-            for (o, &s) in states.iter().enumerate() {
-                match s {
-                    ClipState::Lower => grad_z[o] += grad_q[(o, u)] - active_mean,
-                    ClipState::Upper => grad_z[o] += self.exp_eps * (grad_q[(o, u)] - active_mean),
-                    ClipState::Active => {}
-                }
+        }
+        // Per state: the factor on `g − mean` (`1·x` is exact) and the
+        // mask that turns an active entry into +0.0 without a branch.
+        let scale = [1.0, 1.0, *exp_eps];
+        let keep = [u64::MAX, 0, u64::MAX];
+        for (o, gz) in grad_z.iter_mut().enumerate() {
+            let rows = grad_q.row(o).iter().zip(&states[o * n..][..n]);
+            let mut acc = 0.0;
+            for (&mean, (&g, &s)) in active_means.iter().zip(rows) {
+                let pulled = scale[s as usize] * (g - mean);
+                acc += f64::from_bits(pulled.to_bits() & keep[s as usize]);
             }
+            *gz = acc;
         }
     }
 }
@@ -187,9 +217,11 @@ pub fn project_columns(r: &Matrix, z: &[f64], epsilon: f64) -> (Matrix, Projecti
 
 /// [`project_columns`] into preallocated buffers: the projected matrix
 /// lands in `q`, the clip pattern in `jacobian`, and `scratch` holds the
-/// breakpoint list. After the first call at a given size, repeated
-/// projections perform no heap allocation — this is what keeps each PGD
-/// iteration allocation-free.
+/// breakpoint list. On the serial path, repeated projections perform no
+/// heap allocation after the first call at a given size. The parallel
+/// path (`m·n ≥ PAR_MIN_WORK` with more than one thread) allocates a
+/// column and a key buffer per worker on every call, besides spawning
+/// its scoped threads.
 ///
 /// # Panics
 /// As [`project_columns`], plus if `q`'s shape disagrees with `r`.
@@ -250,21 +282,20 @@ pub fn project_columns_into(
     } else {
         solve(0, lambdas, col, keys);
     }
-    // The cheap clip/classify pass.
-    for (u, &lambda) in lambdas.iter().enumerate() {
-        let col_states = &mut jacobian.states[u * m..(u + 1) * m];
-        for o in 0..m {
-            let (lo, hi) = (z[o], exp_eps * z[o]);
-            let v = r[(o, u)] + lambda;
-            let (clipped, state) = if v <= lo {
+    // The cheap clip/classify pass, row by row.
+    for (o, &zo) in z.iter().enumerate() {
+        let (lo, hi) = (zo, exp_eps * zo);
+        let states = &mut jacobian.states[o * n..][..n];
+        let entries = q.row_mut(o).iter_mut().zip(states).zip(r.row(o));
+        for (((qv, state), &rv), &lambda) in entries.zip(lambdas.iter()) {
+            let v = rv + lambda;
+            (*qv, *state) = if v <= lo {
                 (lo, ClipState::Lower)
             } else if v >= hi {
                 (hi, ClipState::Upper)
             } else {
                 (v, ClipState::Active)
             };
-            q[(o, u)] = clipped;
-            col_states[o] = state;
         }
     }
 }
@@ -279,22 +310,7 @@ pub fn project_columns_into(
 /// sorted before the scan starts: a finite hint splits the list at a
 /// Newton estimate of the crossing, anything else sorts it whole.
 fn solve_lambda(r: &[f64], z: &[f64], exp_eps: f64, hint: f64, keys: &mut Vec<u128>) -> f64 {
-    let m = r.len();
-    assert!(2 * m as u64 <= 1 << 32, "push indices must fit in 32 bits");
-    // Breakpoints: at λ = z_o − r_o coordinate o starts increasing
-    // (slope +1); at λ = E·z_o − r_o it saturates (slope −1 relative).
-    keys.clear();
-    keys.reserve(2 * m);
-    for o in 0..m {
-        keys.push(breakpoint_key(z[o] - r[o], 2 * o));
-        keys.push(breakpoint_key(exp_eps * z[o] - r[o], 2 * o + 1));
-    }
-    let split = if hint.is_finite() {
-        let estimate = newton_estimate(r, z, exp_eps, hint);
-        partition_through(keys, breakpoint_key(estimate, u32::MAX as usize))
-    } else {
-        keys.len()
-    };
+    let split = partition_keys(r, z, exp_eps, head_bound(r, z, exp_eps, hint), keys);
     let (head, tail) = keys.split_at_mut(split);
     head.sort_unstable();
 
@@ -381,39 +397,76 @@ fn breakpoint(key: u128) -> (f64, f64) {
     (f64::from_bits(bits), ds)
 }
 
+/// The largest key [`solve_lambda`] sorts before its first scan: the
+/// Newton estimate from a finite `hint`, or every key otherwise.
+fn head_bound(r: &[f64], z: &[f64], exp_eps: f64, hint: f64) -> u128 {
+    if hint.is_finite() {
+        breakpoint_key(newton_estimate(r, z, exp_eps, hint), u32::MAX as usize)
+    } else {
+        u128::MAX
+    }
+}
+
 /// Two Newton steps on `φ(λ) = 1` from `lambda`. `φ` is piecewise linear,
 /// so from a nearby hint this usually lands on the crossing itself. The
 /// result is only an estimate: a flat `φ` at the hint sends it to ±∞ or
-/// NaN, which merely makes the split sort more.
+/// NaN, which merely makes the split sort more. It sets the split, never
+/// `λ`'s bits, so `φ` and the active count run on four accumulators.
 fn newton_estimate(r: &[f64], z: &[f64], exp_eps: f64, mut lambda: f64) -> f64 {
     for _ in 0..2 {
-        let mut phi = 0.0;
-        let mut active = 0u32;
-        for (&ro, &zo) in r.iter().zip(z) {
+        let mut phi = [0.0; 4];
+        let mut active = [0u32; 4];
+        let mut add = |lane: usize, ro: f64, zo: f64| {
             let (lo, hi) = (zo, exp_eps * zo);
             let v = ro + lambda;
-            phi += v.max(lo).min(hi);
-            active += u32::from((v > lo) & (v < hi));
+            phi[lane] += v.max(lo).min(hi);
+            active[lane] += u32::from((v > lo) & (v < hi));
+        };
+        let (r4, z4) = (r.chunks_exact(4), z.chunks_exact(4));
+        let rest = r4.remainder().iter().zip(z4.remainder());
+        for (rs, zs) in r4.zip(z4) {
+            for lane in 0..4 {
+                add(lane, rs[lane], zs[lane]);
+            }
         }
+        for (lane, (&ro, &zo)) in rest.enumerate() {
+            add(lane, ro, zo);
+        }
+        let phi = (phi[0] + phi[1]) + (phi[2] + phi[3]);
+        let active = (active[0] + active[1]) + (active[2] + active[3]);
         lambda += (1.0 - phi) / f64::from(active);
     }
     lambda
 }
 
-/// Moves every key `≤ bound`, plus the least key above it, to the front
-/// of `keys` (in no particular order) and returns how many that is.
-/// Every key in the front part is then below every key behind it.
-fn partition_through(keys: &mut [u128], bound: u128) -> usize {
-    let mut split = 0;
-    for i in 0..keys.len() {
-        keys.swap(split, i);
-        split += usize::from(keys[split] <= bound);
+/// Writes the `2m` breakpoint keys of the column into `keys` in one pass:
+/// every key `≤ bound` to the front (in push order), the others to the
+/// back. The least back key then moves to the split, and the front part's
+/// length is returned. Every key in the front part is below every key
+/// behind it. `keys` is resized only when `m` changes.
+fn partition_keys(r: &[f64], z: &[f64], exp_eps: f64, bound: u128, keys: &mut Vec<u128>) -> usize {
+    let len = 2 * r.len();
+    assert!(len as u64 <= 1 << 32, "push indices must fit in 32 bits");
+    keys.resize(len, 0);
+    let (mut front, mut back) = (0, len);
+    for (o, (&ro, &zo)) in r.iter().zip(z).enumerate() {
+        // At λ = z_o − r_o coordinate o starts increasing (slope +1); at
+        // λ = E·z_o − r_o it saturates (slope −1 relative).
+        for key in [
+            breakpoint_key(zo - ro, 2 * o),
+            breakpoint_key(exp_eps * zo - ro, 2 * o + 1),
+        ] {
+            let below = key <= bound;
+            back -= usize::from(!below);
+            keys[if below { front } else { back }] = key;
+            front += usize::from(below);
+        }
     }
-    if let Some(least) = (split..keys.len()).min_by_key(|&i| keys[i]) {
-        keys.swap(split, least);
-        split += 1;
+    if let Some(least) = (front..len).min_by_key(|&i| keys[i]) {
+        keys.swap(front, least);
+        front += 1;
     }
-    split
+    front
 }
 
 /// Bisection oracle for `λ` — slower but unconditionally robust. Public
@@ -575,8 +628,9 @@ mod tests {
                 .map(|(a, b)| a * b)
                 .sum()
         };
-        let (_, jac) = project_columns(&r, &z0, eps);
-        let grad = jac.backprop_z(&c);
+        let (_, mut jac) = project_columns(&r, &z0, eps);
+        let mut grad = vec![0.0; m];
+        jac.backprop_z_into(&c, &mut grad);
         let h = 1e-7;
         for j in 0..m {
             let mut zp = z0.clone();
@@ -608,7 +662,9 @@ mod tests {
             let mut scratch = ProjectionScratch::new();
             project_columns_into(&r, &z, eps, &mut q, &mut jac, &mut scratch);
             let grad = Matrix::from_fn(m, n, |o, u| ((o * 7 + u) % 5) as f64 - 2.0);
-            (q.as_slice().to_vec(), jac.backprop_z(&grad))
+            let mut grad_z = vec![0.0; m];
+            jac.backprop_z_into(&grad, &mut grad_z);
+            (q.as_slice().to_vec(), grad_z)
         };
         ldp_parallel::set_thread_override(Some(1));
         let serial = run();
@@ -711,6 +767,10 @@ mod tests {
                 }
             };
             let want = full_sort_lambda(&r, &z, exp_eps);
+            // Besides each hint's split: the bounds that take nothing,
+            // everything, and everything up to one key exactly.
+            let some_key = breakpoint_key(z[0] - r[0], 0);
+            let mut bounds = vec![0, u128::MAX, some_key];
             for hint in [
                 f64::INFINITY,
                 f64::NEG_INFINITY,
@@ -726,6 +786,10 @@ mod tests {
                     want.to_bits(),
                     "case {case}, hint {hint}: {got} vs full sort {want}"
                 );
+                bounds.push(head_bound(&r, &z, exp_eps, hint));
+            }
+            for bound in bounds {
+                assert_head_matches_swap_partition((&r, &z, exp_eps), bound, &mut keys, case);
             }
             other = want;
         }
@@ -772,5 +836,148 @@ mod tests {
                 assert_eq!(jac.states, fresh_jac.states);
             });
         }
+    }
+
+    /// The backprop as it was before the row-major layout, kept as the
+    /// oracle: a walk over each column, adding only clipped entries. The
+    /// one edit is the state lookup, which reads the row-major layout.
+    fn column_walk_backprop(jac: &ProjectionJacobian, grad_q: &Matrix) -> Vec<f64> {
+        let (m, n) = grad_q.shape();
+        let state = |o: usize, u: usize| jac.states[o * n + u];
+        let mut grad_z = vec![0.0; m];
+        for u in 0..n {
+            // Mean of the upstream gradient over the active set.
+            let mut active_sum = 0.0;
+            let mut active_count = 0usize;
+            for o in 0..m {
+                if state(o, u) == ClipState::Active {
+                    active_sum += grad_q[(o, u)];
+                    active_count += 1;
+                }
+            }
+            let active_mean = if active_count > 0 {
+                active_sum / active_count as f64
+            } else {
+                0.0
+            };
+            for (o, gz) in grad_z.iter_mut().enumerate() {
+                match state(o, u) {
+                    ClipState::Lower => *gz += grad_q[(o, u)] - active_mean,
+                    ClipState::Upper => *gz += jac.exp_eps * (grad_q[(o, u)] - active_mean),
+                    ClipState::Active => {}
+                }
+            }
+        }
+        grad_z
+    }
+
+    #[test]
+    fn backprop_bits_match_the_column_walk() {
+        let mut rng = StdRng::seed_from_u64(0xb9);
+        let specials = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0];
+        let (mut nonfinite, mut nan_outputs, mut inf_outputs) = (0, 0, 0);
+        for (m, n) in [(1usize, 1usize), (3, 2), (7, 3), (24, 10), (128, 80)] {
+            let eps = 1.0_f64;
+            let z = feasible_z(m, eps);
+            let r = Matrix::from_fn(m, n, |_, _| rng.gen_range(-0.5..1.5) / m as f64);
+            let (_, mut jac) = project_columns(&r, &z, eps);
+            // The last column has no active entry.
+            for o in 0..m {
+                jac.states[o * n + n - 1] = [ClipState::Lower, ClipState::Upper][o % 2];
+            }
+            let active: Vec<usize> = (0..m * n)
+                .filter(|&i| jac.states[i] == ClipState::Active)
+                .collect();
+            for round in 0..5 {
+                // Round 0 is finite; rounds 1–3 put ±∞, NaN and −0 at
+                // clipped positions, as an unscreened trial gradient may.
+                // Round 4 puts one at a single active position: it spoils
+                // that column's mean but must stay out of its own output.
+                let lone = (round == 4 && !active.is_empty())
+                    .then(|| active[rng.gen_range(0..active.len())]);
+                let grad = Matrix::from_fn(m, n, |o, u| {
+                    let clipped = jac.states[o * n + u] != ClipState::Active;
+                    let special = if round == 4 {
+                        lone == Some(o * n + u)
+                    } else {
+                        round > 0 && clipped && rng.gen_range(0..4) == 0
+                    };
+                    if special {
+                        nonfinite += 1;
+                        // −0 is the last special; it is finite, so round
+                        // 4 leaves it out.
+                        let kinds = if round == 4 { 3 } else { specials.len() };
+                        specials[rng.gen_range(0..kinds)]
+                    } else {
+                        rng.gen_range(-1.0..1.0)
+                    }
+                });
+                let want = column_walk_backprop(&jac, &grad);
+                let mut got = vec![f64::NAN; m];
+                jac.backprop_z_into(&grad, &mut got);
+                // Every non-NaN result must match to the bit. A NaN result
+                // only has to be NaN: Rust leaves the sign and payload of a
+                // NaN that an operation produces unspecified (an addition
+                // may be commuted), so no code can pin them.
+                let bits = |v: &[f64]| {
+                    v.iter()
+                        .map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() })
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&got), bits(&want), "{m}×{n}, round {round}");
+                nan_outputs += got.iter().filter(|x| x.is_nan()).count();
+                inf_outputs += got.iter().filter(|x| x.is_infinite()).count();
+            }
+        }
+        assert!(nonfinite > 100, "too few non-finite entries: {nonfinite}");
+        assert!(
+            nan_outputs > 0 && inf_outputs > 0,
+            "{nan_outputs} NaN, {inf_outputs} ±∞"
+        );
+    }
+
+    /// The split as it was before the one-pass partition, kept verbatim
+    /// as the oracle: keys pushed in order, then swapped into place.
+    fn partition_through(keys: &mut [u128], bound: u128) -> usize {
+        let mut split = 0;
+        for i in 0..keys.len() {
+            keys.swap(split, i);
+            split += usize::from(keys[split] <= bound);
+        }
+        if let Some(least) = (split..keys.len()).min_by_key(|&i| keys[i]) {
+            keys.swap(split, least);
+            split += 1;
+        }
+        split
+    }
+
+    /// `partition_keys` must put exactly the keys the swap partition put
+    /// in front of the split: {keys ≤ bound} ∪ {least key above it}.
+    fn assert_head_matches_swap_partition(
+        (r, z, exp_eps): (&[f64], &[f64], f64),
+        bound: u128,
+        keys: &mut Vec<u128>,
+        case: usize,
+    ) {
+        let mut old: Vec<u128> = (0..r.len())
+            .flat_map(|o| {
+                [
+                    breakpoint_key(z[o] - r[o], 2 * o),
+                    breakpoint_key(exp_eps * z[o] - r[o], 2 * o + 1),
+                ]
+            })
+            .collect();
+        let old_split = partition_through(&mut old, bound);
+        let split = partition_keys(r, z, exp_eps, bound, keys);
+        assert_eq!(split, old_split, "case {case}, bound {bound:#x}");
+        let mut head = keys[..split].to_vec();
+        let mut old_head = old[..split].to_vec();
+        head.sort_unstable();
+        old_head.sort_unstable();
+        assert_eq!(head, old_head, "case {case}, bound {bound:#x}");
+        let mut all = keys.clone();
+        all.sort_unstable();
+        old.sort_unstable();
+        assert_eq!(all, old, "case {case}: the tail lost or gained keys");
     }
 }
